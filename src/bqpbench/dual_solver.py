@@ -2,10 +2,16 @@
 
 The dual is smooth and concave where the shifted matrix is positive
 definite, and that set is open, so every step is backtracked first into
-feasibility and then until an Armijo ascent condition holds.  At a
-stationary point the solved vector ``x(lam)`` has unit entries; rounding
-it to signs and checking the primal-dual gap yields (or refuses) a
-global-optimality certificate.
+feasibility and then until an Armijo ascent condition holds.  The
+Newton direction needs no second factorization: with ``X = diag(x(lam))``
+the negated Hessian is ``X (Q + diag(lam))^-1 X``, so the step solving
+``-H d = grad`` is ``X^-1 (Q + diag(lam)) X^-1 grad``, one matrix-vector
+product.  Only when some ``|x_i(lam)|`` falls below ``1e-3`` (where that
+inverse blows up, and ``-H`` is singular at an exact zero) does the
+solver form the Hessian and solve the ridge-regularized system instead.
+At a stationary point the solved vector ``x(lam)`` has unit entries;
+rounding it to signs and checking the primal-dual gap yields (or
+refuses) a global-optimality certificate.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from .numerics import NotPositiveDefinite, spd_factorize, spd_solve
 _MAX_BACKTRACKS = 60
 _MAX_SHIFT_DOUBLINGS = 60
 _GAP_REL_TOL = 1e-6
+# Below this min |x_i(lam)| the closed-form step divides by near-zeros.
+_CLOSED_FORM_MIN_X = 1e-3
 
 
 class NoFeasibleStart(Exception):
@@ -138,6 +146,7 @@ def round_to_signs(x_raw, sign_tol: float) -> np.ndarray:
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve ``(-H + ridge*I) d = grad``; ascent direction since -H is PSD.
 
+    The fallback of :func:`_ascent_direction` for near-zero ``x(lam)``.
     The ridge keeps the system definite when -H is singular (any zero
     coordinate in x(lam) zeroes a row) without materially biasing steps.
     """
@@ -150,6 +159,19 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
         except NotPositiveDefinite:
             ridge *= 100.0
     return grad.copy()
+
+
+def _ascent_direction(inst: BqpInstance, state: DualState, grad: np.ndarray) -> np.ndarray:
+    """Newton direction at ``state``: ``X^-1 (Q + diag(lam)) X^-1 grad``.
+
+    Falls back to the ridge-regularized Hessian solve when some entry of
+    ``x(lam)`` is within ``_CLOSED_FORM_MIN_X`` of zero.
+    """
+    x = state.x_of_lambda
+    if float(np.abs(x).min()) < _CLOSED_FORM_MIN_X:
+        return _newton_direction(dual_hessian(state), grad)
+    v = grad / x
+    return (inst.q @ v + state.lam * v) / x
 
 
 def _backtrack(inst, state, value, grad, direction, opts):
@@ -174,13 +196,16 @@ def _backtrack(inst, state, value, grad, direction, opts):
 def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveReport:
     """Maximize the dual and try to certify a global primal solution.
 
-    Newton iterations ``lam <- lam + t*d`` with ``(-H + ridge) d = grad``
-    run until the gradient sup-norm drops below ``opts.grad_tol`` or the
-    iteration budget is spent.  A failed Newton backtrack falls back to a
-    plain gradient step; a failed gradient step ends the run.  At a
-    stationary point the primal is recovered from the cached solve and
-    rounded; the report is Certified only when rounding succeeds and the
-    primal-dual gap is below ``1e-6 * (1 + |primal|)``.
+    Newton iterations ``lam <- lam + t*d`` with ``-H d = grad`` (closed
+    form, see the module docstring) run until the gradient sup-norm drops
+    below ``opts.grad_tol`` or the iteration budget is spent.  The
+    gradient is tested after the last step too, so a run that becomes
+    stationary on its final iteration is still certified.  A failed
+    Newton backtrack falls back to a plain gradient step; a failed
+    gradient step ends the run.  At a stationary point the primal is
+    recovered from the cached solve and rounded; the report is Certified
+    only when rounding succeeds and the primal-dual gap is below
+    ``1e-6 * (1 + |primal|)``.
     """
     opts = opts or SolveOptions()
     try:
@@ -196,13 +221,12 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     value = dual_value(state, inst)
     trace = [value]
     iterations = 0
-    stationary = False
-    for _ in range(opts.max_iter):
+    while True:
         grad = dual_gradient(state)
-        if float(np.abs(grad).max()) <= opts.grad_tol:
-            stationary = True
+        stationary = float(np.abs(grad).max()) <= opts.grad_tol
+        if stationary or iterations == opts.max_iter:
             break
-        direction = _newton_direction(dual_hessian(state), grad)
+        direction = _ascent_direction(inst, state, grad)
         accepted, state, value = _backtrack(inst, state, value, grad, direction, opts)
         if not accepted:
             accepted, state, value = _backtrack(inst, state, value, grad, grad, opts)

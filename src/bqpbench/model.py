@@ -5,7 +5,9 @@ A problem instance is ``minimize 0.5 * x'Qx - c'x`` over sign vectors
 quadratic to ``Q + diag(lam)``; whenever that shift is positive definite
 the dual function has the closed form ``-0.5 * c'(Q + diag(lam))^-1 c -
 0.5 * sum(lam)``, which this module evaluates together with its gradient
-and Hessian through a single cached factorization.
+through a single cached factorization: one LAPACK Cholesky and one LAPACK
+solve per multiplier point.  The explicit Hessian costs n more solves and
+is formed only on request.
 """
 
 from __future__ import annotations
@@ -130,12 +132,16 @@ def lagrangian_value(inst: BqpInstance, x, lam) -> float:
 def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     """Build the dual state at ``lam``, testing positive definiteness.
 
+    The shifted matrix is built straight from the validated ``inst.q``
+    and factorized once; ``x(lam)`` is one solve against that factor.
     Infeasibility is a state, not an error: the returned object simply
     carries ``feasible=False`` with no cached factor.
     """
     lam = as_vector(lam, inst.n)
+    shifted = inst.q.copy()
+    shifted.flat[:: inst.n + 1] += lam
     try:
-        factor = spd_factorize(q_of_lambda(inst.q, lam))
+        factor = spd_factorize(shifted)
     except NotPositiveDefinite:
         return DualState(lam=lam, feasible=False, factor=None, x_of_lambda=None)
     return DualState(lam=lam, feasible=True, factor=factor, x_of_lambda=spd_solve(factor, inst.c))
@@ -166,6 +172,9 @@ def dual_hessian(state: DualState) -> np.ndarray:
     where ``M`` is the inverse of the shifted matrix.
 
     Symmetric and negative semidefinite wherever the dual is defined.
+    Forming ``M`` takes n solves against the cached factor; the solver
+    needs it only when some entry of ``x(lam)`` is near zero (see
+    ``dual_solver``).
     """
     if not state.feasible:
         raise Infeasible("dual Hessian undefined: shifted matrix is not positive definite")

@@ -1,10 +1,11 @@
 """Dense symmetric linear algebra kernel.
 
 Everything else in the package funnels its matrix work through here:
-Cholesky factorization as the positive-definiteness witness, triangular
-solves against the factor, and an iterative extremal-eigenvalue estimate
-for semidefiniteness checks.  Matrices are plain float64 numpy arrays;
-symmetry is validated exactly (entrywise equality) at every entry point.
+Cholesky factorization as the positive-definiteness witness (one LAPACK
+``dpotrf`` call), solves against the factor (one LAPACK ``dpotrs``
+call), and an iterative extremal-eigenvalue estimate for semidefiniteness
+checks.  Matrices are plain float64 numpy arrays; symmetry is validated
+exactly (entrywise equality) at every entry point.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_triangular
+from scipy.linalg import eigh_tridiagonal, lapack
 
 
 class DimensionMismatch(ValueError):
@@ -73,28 +74,31 @@ def spd_factorize(a) -> SpdFactor:
     """Cholesky-factorize a symmetric matrix, or fail with the bad pivot.
 
     Succeeds exactly when the matrix is positive definite: every pivot
-    must exceed ``1e-12 * (1 + max |diagonal|)``, which rejects the
-    numerically singular weakly-dominant matrices that row-sum shifted
-    instances can produce.  Raises :class:`NotPositiveDefinite` carrying
-    the index of the first failing pivot.
+    ``L[j, j]**2`` must exceed ``1e-12 * (1 + max |diagonal|)``, which
+    rejects the numerically singular weakly-dominant matrices that
+    row-sum shifted instances can produce.  LAPACK's ``dpotrf`` does the
+    factorization; when it stops at a non-positive pivot, an earlier
+    pivot below the tolerance is still the one reported.  Raises
+    :class:`NotPositiveDefinite` carrying the index of the first failing
+    pivot.
     """
     a = require_symmetric(a)
     n = a.shape[0]
     pivot_tol = 1e-12 * (1.0 + float(np.abs(a.diagonal()).max()))
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not pivot > pivot_tol:
-            raise NotPositiveDefinite(j)
-        root = math.sqrt(pivot)
-        lower[j, j] = root
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / root
+    lower, info = lapack.dpotrf(a, lower=1)
+    # info > 0 names (1-based) the pivot LAPACK could not take; the
+    # pivots before it are valid and still face the tolerance.
+    checked = info - 1 if info > 0 else n
+    small = np.flatnonzero(~(lower.diagonal()[:checked] ** 2 > pivot_tol))
+    if small.size:
+        raise NotPositiveDefinite(int(small[0]))
+    if info > 0:
+        raise NotPositiveDefinite(info - 1)
     return SpdFactor(n=n, lower=lower)
 
 
 def spd_solve(factor: SpdFactor, b) -> np.ndarray:
-    """Solve A x = b through the Cholesky factor of A.
+    """Solve A x = b through the Cholesky factor of A (LAPACK ``dpotrs``).
 
     ``b`` may be a vector or a matrix of stacked right-hand-side columns.
     """
@@ -103,8 +107,8 @@ def spd_solve(factor: SpdFactor, b) -> np.ndarray:
         raise DimensionMismatch(
             f"right-hand side of shape {b.shape} does not match factor dimension {factor.n}"
         )
-    y = solve_triangular(factor.lower, b, lower=True)
-    return solve_triangular(factor.lower, y, lower=True, trans=1)
+    x, _ = lapack.dpotrs(factor.lower, b, lower=1)
+    return x
 
 
 def min_eigenvalue(a) -> float:

@@ -11,7 +11,8 @@ independent route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import nan
 
 import numpy as np
@@ -35,6 +36,8 @@ class VerifyReport:
 
     ``gap`` is NaN when the multipliers are infeasible (the dual value is
     undefined there); ``overall`` is the conjunction of the four booleans.
+    ``inertia_note`` describes the signature of the instance matrix ``q``;
+    it needs a full eigendecomposition, so it is computed on first read.
     """
 
     pd_ok: bool
@@ -42,8 +45,17 @@ class VerifyReport:
     boolean_ok: bool
     gap: float
     gap_ok: bool
-    inertia_note: str
     overall: bool
+    q: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def inertia_note(self) -> str:
+        eigs = np.linalg.eigvalsh(self.q)
+        tol = 1e-8 * (1.0 + float(np.abs(self.q).sum(axis=1).max()))
+        neg = int((eigs < -tol).sum())
+        pos = int((eigs > tol).sum())
+        zero = len(eigs) - neg - pos
+        return f"Q inertia: {neg} negative, {zero} zero, {pos} positive"
 
 
 @dataclass(frozen=True)
@@ -52,15 +64,6 @@ class SchurBlock:
 
     t: float
     block: np.ndarray
-
-
-def _inertia_note(q: np.ndarray) -> str:
-    eigs = np.linalg.eigvalsh(q)
-    tol = 1e-8 * (1.0 + float(np.abs(q).sum(axis=1).max()))
-    neg = int((eigs < -tol).sum())
-    pos = int((eigs > tol).sum())
-    zero = len(eigs) - neg - pos
-    return f"Q inertia: {neg} negative, {zero} zero, {pos} positive"
 
 
 def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) -> VerifyReport:
@@ -96,8 +99,8 @@ def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) 
         boolean_ok=boolean_ok,
         gap=gap,
         gap_ok=gap_ok,
-        inertia_note=_inertia_note(inst.q),
         overall=pd_ok and stationary_ok and boolean_ok and gap_ok,
+        q=inst.q,
     )
 
 

@@ -98,6 +98,14 @@ class TestSolve:
         assert fields["status"] == "MaxIterations"
         assert fields["x"] == "-"
 
+    def test_stationary_on_last_iteration_exits_zero(self, tmp_path):
+        # Two steps reach the stationary point; the budget of two must suffice.
+        src = tmp_path / "inst.bqp"
+        run_cli("gen", "-n", "50", "--seed", "3", "-o", str(src))
+        proc = run_cli("solve", str(src), "--max-iter", "2")
+        assert proc.returncode == 0
+        assert parsed_lines(proc.stdout)["status"] == "Certified"
+
     def test_invalid_max_iter(self):
         proc = run_cli("solve", str(FIXTURES / "example1.bqp"), "--max-iter", "0")
         assert proc.returncode == 2
@@ -111,6 +119,13 @@ class TestVerify:
         fields = parsed_lines(proc.stdout)
         assert fields["overall"] == "true"
         assert abs(float(fields["gap"])) <= 1e-9
+
+    def test_output_pinned(self):
+        proc = run_cli("verify", str(FIXTURES / "example1.bqp"))
+        assert proc.stdout == (
+            "pd_ok true\nstationary_ok true\nboolean_ok true\ngap_ok true\n"
+            "overall true\ngap 0\nQ inertia: 3 negative, 0 zero, 2 positive\n"
+        )
 
     def test_tampered_certificate_fails(self, tmp_path):
         text = (FIXTURES / "example1.bqp").read_text()

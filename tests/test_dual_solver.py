@@ -17,6 +17,8 @@ from bqpbench import (
     verify_certificate,
     Certificate,
     Infeasible,
+    dual_gradient,
+    dual_hessian,
 )
 
 
@@ -152,6 +154,15 @@ class TestSolveBehavior:
         assert report.status is SolveStatus.MAX_ITERATIONS
         assert report.x is None and np.isnan(report.gap)
 
+    def test_stationary_after_last_allowed_step_is_certified(self):
+        # The second step reaches |g| ~ 3e-9 < grad_tol; the budget of two
+        # steps is spent, but the point is stationary and must certify.
+        inst, cert = generate_instance(GenConfig(n=50, seed=3))
+        report = solve_dual(inst, SolveOptions(max_iter=2))
+        assert report.status is SolveStatus.CERTIFIED
+        assert report.iterations == 2
+        np.testing.assert_array_equal(report.x, cert.x)
+
     def test_stationary_not_boolean_with_loose_tolerance(self):
         # With a huge gradient tolerance the start point already counts as
         # stationary, but its solution is nowhere near signs.
@@ -185,3 +196,49 @@ class TestSolveBehavior:
             SolveOptions(sign_tol=0.5)
         with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
+
+
+class TestNewtonDirection:
+    def test_closed_form_solves_newton_system(self, monkeypatch):
+        import bqpbench.dual_solver as ds
+
+        inst, _ = generate_instance(GenConfig(n=60, seed=0))
+        state = initial_point(inst)
+        for _ in range(2):
+            grad = dual_gradient(state)
+            hess = dual_hessian(state)
+            with monkeypatch.context() as m:
+                m.setattr(ds, "dual_hessian", None)  # the closed form must not need it
+                direction = ds._ascent_direction(inst, state, grad)
+            np.testing.assert_allclose(direction, np.linalg.solve(-hess, grad), rtol=1e-10)
+            # The ridge path solves (-H + ridge*I) d = grad, which moves d by
+            # about ridge / lambda_min(-H) relative (5e-8 here).
+            ridge = 1e-10 * (1.0 + np.abs(hess).sum(axis=1).max())
+            shift = ridge / np.linalg.eigvalsh(-hess)[0]
+            np.testing.assert_allclose(
+                direction, ds._newton_direction(hess, grad), rtol=2.0 * shift
+            )
+            state = is_dual_feasible(inst, state.lam + direction)
+            assert state.feasible
+
+    def test_zero_solution_takes_ridge_fallback(self, monkeypatch):
+        # With c = 0, x(lam) = 0: the closed form would divide by zero.
+        import bqpbench.dual_solver as ds
+
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return dual_hessian(state)
+
+        monkeypatch.setattr(ds, "dual_hessian", counted)
+        inst = BqpInstance([[2.0, 1.0], [1.0, 3.0]], np.zeros(2))
+        state = initial_point(inst)
+        grad = dual_gradient(state)
+        direction = ds._ascent_direction(inst, state, grad)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(direction, ds._newton_direction(dual_hessian(state), grad))
+        assert np.isfinite(direction).all()
+        report = ds.solve_dual(inst, SolveOptions(max_iter=3))
+        assert report.status is SolveStatus.MAX_ITERATIONS
+        assert len(calls) == 4

@@ -37,6 +37,55 @@ class TestFactorize:
             spd_factorize(np.diag([1.0, -1.0, 5.0]))
         assert exc.value.pivot == 1
 
+    def test_pivot_below_tolerance_rejected_though_lapack_accepts(self):
+        # dpotrf takes the tiny positive pivot; the tolerance 2e-12 does not.
+        with pytest.raises(NotPositiveDefinite) as exc:
+            spd_factorize(np.diag([1.0, 1e-14, 1.0]))
+        assert exc.value.pivot == 1
+
+    def test_indefinite_2x2_fails_at_second_pivot(self):
+        with pytest.raises(NotPositiveDefinite) as exc:
+            spd_factorize([[1.0, 2.0], [2.0, 1.0]])
+        assert exc.value.pivot == 1
+
+    def test_small_pivot_before_lapack_failure_is_reported(self):
+        # LAPACK stops at pivot 2 (negative); pivot 1 already failed the tolerance.
+        with pytest.raises(NotPositiveDefinite) as exc:
+            spd_factorize(np.diag([1.0, 1e-14, -1.0]))
+        assert exc.value.pivot == 1
+
+    def test_matches_column_loop_reference(self):
+        # The column-by-column Cholesky with the same pivot rule is the
+        # reference: same factor (to roundoff) and same failing pivot.
+        def reference(a):
+            n = a.shape[0]
+            tol = 1e-12 * (1.0 + np.abs(a.diagonal()).max())
+            lower = np.zeros_like(a)
+            for j in range(n):
+                pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+                if not pivot > tol:
+                    return j
+                lower[j, j] = math.sqrt(pivot)
+                lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+            return lower
+
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for _ in range(80):
+            n = int(rng.integers(1, 40))
+            a = rng.standard_normal((n, n))
+            a = (a + a.T) / 2.0 + rng.uniform(0.0, 2.0 * math.sqrt(n)) * np.eye(n)
+            expected = reference(a)
+            if isinstance(expected, int):
+                with pytest.raises(NotPositiveDefinite) as exc:
+                    spd_factorize(a)
+                assert exc.value.pivot == expected
+                outcomes.add("fail")
+            else:
+                np.testing.assert_allclose(spd_factorize(a).lower, expected, rtol=1e-10, atol=1e-12)
+                outcomes.add("ok")
+        assert outcomes == {"ok", "fail"}
+
     def test_weakly_dominant_singular_rejected(self):
         # Diagonal equals the off-diagonal row sum: singular, not PD.
         with pytest.raises(NotPositiveDefinite):

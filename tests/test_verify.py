@@ -67,6 +67,18 @@ class TestVerifyCertificate:
         report = verify_certificate(example1, example1_cert)
         assert report.inertia_note == "Q inertia: 3 negative, 0 zero, 2 positive"
 
+    def test_inertia_note_computed_only_when_read(self, example1, example1_cert, monkeypatch):
+        import bqpbench.verify as verify_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(verify_module.np.linalg, "eigvalsh", refuse)
+        report = verify_certificate(example1, example1_cert)
+        assert report.overall
+        monkeypatch.undo()
+        assert report.inertia_note == "Q inertia: 3 negative, 0 zero, 2 positive"
+
     def test_tolerance_must_be_positive(self, example1, example1_cert):
         with pytest.raises(ValueError):
             verify_certificate(example1, example1_cert, tol=0.0)
