@@ -12,7 +12,6 @@ from .dual_solver import (
     SolveReport,
     SolveStatus,
     initial_point,
-    recover_primal,
     round_to_signs,
     solve_dual,
 )
@@ -30,7 +29,6 @@ from .generator import (
     GenerationFailed,
     generate_instance,
     multipliers_from_rowsums,
-    rhs_from_certificate,
 )
 from .model import (
     BqpInstance,
@@ -54,14 +52,7 @@ from .numerics import (
     spd_solve,
 )
 from .oracle import OracleResult, TooLarge, brute_force_minimize
-from .verify import (
-    SchurBlock,
-    VerifyReport,
-    build_schur_block,
-    duality_gap,
-    schur_block_psd,
-    verify_certificate,
-)
+from .verify import VerifyReport, schur_block_psd, verify_certificate
 
 __version__ = "0.1.0"
 
@@ -81,7 +72,6 @@ __all__ = [
     "NotPositiveDefinite",
     "OracleResult",
     "ParseError",
-    "SchurBlock",
     "SolveOptions",
     "SolveReport",
     "SolveStatus",
@@ -89,8 +79,6 @@ __all__ = [
     "TooLarge",
     "VerifyReport",
     "brute_force_minimize",
-    "build_schur_block",
-    "duality_gap",
     "dual_gradient",
     "dual_hessian",
     "dual_value",
@@ -103,8 +91,6 @@ __all__ = [
     "objective_value",
     "parse_instance",
     "q_of_lambda",
-    "recover_primal",
-    "rhs_from_certificate",
     "round_to_signs",
     "schur_block_psd",
     "serialize_instance",

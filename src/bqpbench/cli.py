@@ -89,6 +89,17 @@ def _fmt_vector(values) -> str:
     return " ".join(format_number(v) for v in values)
 
 
+def _write_text(path: str, content: str) -> bool:
+    """Write ``content`` to ``path``; on failure report it and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def _read_instance_file(path: str) -> InstanceFile:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -160,22 +171,14 @@ def run_gen(args) -> int:
         certificate=cert if args.with_certificate else None,
         metadata=metadata,
     ))
-    try:
-        with open(args.out_path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-    except OSError as exc:
-        print(f"cannot write {args.out_path}: {exc.strerror}", file=sys.stderr)
+    if not _write_text(args.out_path, content):
         return EXIT_WRITE
     print(f"objective {format_number(objective_value(inst, cert.x))}")
     return EXIT_OK
 
 
 def run_solve(args) -> int:
-    try:
-        f = _read_instance_file(args.in_path)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+    f = _read_instance_file(args.in_path)
     report = solve_dual(f.instance, SolveOptions(grad_tol=args.grad_tol, max_iter=args.max_iter))
     print(f"lambda {_fmt_vector(report.lam)}")
     print(f"x {_fmt_vector(report.x) if report.x is not None else '-'}")
@@ -190,21 +193,13 @@ def run_solve(args) -> int:
             certificate=Certificate(x=report.x, lam=report.lam),
             metadata={"solver": f"bqpbench {__version__}"},
         )
-        try:
-            with open(args.emit_cert, "w", encoding="utf-8") as handle:
-                handle.write(serialize_instance(cert_file))
-        except OSError as exc:
-            print(f"cannot write {args.emit_cert}: {exc.strerror}", file=sys.stderr)
+        if not _write_text(args.emit_cert, serialize_instance(cert_file)):
             return EXIT_WRITE
     return EXIT_OK if report.status is SolveStatus.CERTIFIED else EXIT_FAIL
 
 
 def run_verify(args) -> int:
-    try:
-        f = _read_instance_file(args.in_path)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+    f = _read_instance_file(args.in_path)
     if f.certificate is None:
         print("no certificate present")
         return EXIT_FAIL
@@ -217,11 +212,7 @@ def run_verify(args) -> int:
 
 
 def run_oracle(args) -> int:
-    try:
-        f = _read_instance_file(args.in_path)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+    f = _read_instance_file(args.in_path)
     cap = f.instance.n if args.force else 25
     try:
         result = brute_force_minimize(f.instance, max_n=cap)
@@ -256,11 +247,7 @@ def run_bench(args) -> int:
             records = list(pool.map(_bench_one, tasks))
     else:
         records = [_bench_one(task) for task in tasks]
-    try:
-        with open(args.csv_path, "w", encoding="utf-8") as handle:
-            handle.write(write_bench_csv(records))
-    except OSError as exc:
-        print(f"cannot write {args.csv_path}: {exc.strerror}", file=sys.stderr)
+    if not _write_text(args.csv_path, write_bench_csv(records)):
         return EXIT_WRITE
     print(f"wrote {args.csv_path} ({len(records)} rows)")
     return EXIT_OK
@@ -268,7 +255,11 @@ def run_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -25,7 +25,6 @@ import numpy as np
 from .model import (
     BqpInstance,
     DualState,
-    Infeasible,
     dual_gradient,
     dual_hessian,
     dual_value,
@@ -117,14 +116,6 @@ def initial_point(inst: BqpInstance) -> DualState:
             return state
         shift *= 2.0
     raise NoFeasibleStart("could not find a positive definite start shift")
-
-
-def recover_primal(inst: BqpInstance, lam) -> np.ndarray:
-    """Solve ``(Q + diag(lam)) x = c`` at feasible multipliers."""
-    state = is_dual_feasible(inst, lam)
-    if not state.feasible:
-        raise Infeasible("cannot recover primal: multipliers are not dual feasible")
-    return state.x_of_lambda
 
 
 def round_to_signs(x_raw, sign_tol: float) -> np.ndarray:

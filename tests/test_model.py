@@ -37,10 +37,6 @@ class TestInstance:
         with pytest.raises(DimensionMismatch):
             BqpInstance(np.eye(3), [1.0, 2.0])
 
-    def test_zero_c_flagged(self):
-        assert BqpInstance(np.eye(2), [0.0, 0.0]).has_zero_c
-        assert not BqpInstance(np.eye(2), [0.0, 1.0]).has_zero_c
-
     def test_immutable_arrays(self, example1):
         with pytest.raises(ValueError):
             example1.q[0, 0] = 99.0

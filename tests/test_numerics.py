@@ -105,7 +105,7 @@ class TestFactorize:
             a = rng.standard_normal((n, n))
             a = a @ a.T + n * np.eye(n)
             factor = spd_factorize(a)
-            err = np.abs(factor.reconstruct() - a).max()
+            err = np.abs(factor.lower @ factor.lower.T - a).max()
             assert err <= 1e-10 * (1.0 + np.abs(a).max())
 
     def test_agrees_with_spectral_positive_definiteness(self):
@@ -134,7 +134,7 @@ class TestSolve:
 
     def test_hand_checked(self):
         factor = spd_factorize([[4.0, 2.0], [2.0, 3.0]])
-        np.testing.assert_allclose(factor.solve([6.0, 5.0]), [1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(spd_solve(factor, [6.0, 5.0]), [1.0, 1.0], atol=1e-14)
 
     def test_recovers_planted_solution(self):
         factor = spd_factorize(shifted_example1())
