@@ -19,6 +19,7 @@ from .fileio import (
     InstanceFile,
     ParseError,
     format_number,
+    format_row,
     parse_instance,
     serialize_instance,
     write_bench_csv,
@@ -85,10 +86,6 @@ def _size_list(text: str) -> list[int]:
     return sizes
 
 
-def _fmt_vector(values) -> str:
-    return " ".join(format_number(v) for v in values)
-
-
 def _write_text(path: str, content: str) -> bool:
     """Write ``content`` to ``path``; on failure report it and return False."""
     try:
@@ -153,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_positive_int, default=3,
                    help="seeds 0..k-1 per size (default 3)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="solve this many instances concurrently")
+                   help="solve this many instances concurrently in threads; each row's "
+                   "solve_ms then includes contention between them")
     p.add_argument("--csv", dest="csv_path", required=True, metavar="PATH")
     p.set_defaults(func=run_bench)
 
@@ -180,8 +178,8 @@ def run_gen(args) -> int:
 def run_solve(args) -> int:
     f = _read_instance_file(args.in_path)
     report = solve_dual(f.instance, SolveOptions(grad_tol=args.grad_tol, max_iter=args.max_iter))
-    print(f"lambda {_fmt_vector(report.lam)}")
-    print(f"x {_fmt_vector(report.x) if report.x is not None else '-'}")
+    print(f"lambda {format_row(report.lam)}")
+    print(f"x {format_row(report.x) if report.x is not None else '-'}")
     print(f"primal {format_number(report.primal_value)}")
     print(f"dual {format_number(report.dual_value)}")
     print(f"gap {format_number(report.gap)}")
@@ -219,7 +217,7 @@ def run_oracle(args) -> int:
     except TooLarge as exc:
         print(exc, file=sys.stderr)
         return EXIT_TOO_LARGE
-    print(f"best_x {_fmt_vector(result.best_x)}")
+    print(f"best_x {format_row(result.best_x)}")
     print(f"best_value {format_number(result.best_value)}")
     print(f"minimizer_count {result.minimizer_count}")
     return EXIT_OK

@@ -17,7 +17,8 @@ for integer data::
     meta seed 7
 
 Sections appear in exactly that order; ``#`` starts a comment; numbers
-use the shortest representation that round-trips (integral values print
+are ASCII decimal literals (no ``_`` separators, no other digits), written
+in the shortest representation that round-trips (integral values print
 with no decimal point).  A ``meta`` value is the rest of its line: one
 line, with no ``#`` and no leading or trailing whitespace.  Parsing is
 strict: unknown sections, dimension mismatches, asymmetric matrices, and
@@ -96,22 +97,23 @@ def format_number(value: float) -> str:
     return repr(value)
 
 
-def _format_row(values) -> str:
-    return " ".join(format_number(v) for v in values)
+def format_row(values) -> str:
+    """Space-separated ``format_number`` text of a vector."""
+    return " ".join(map(format_number, np.asarray(values, dtype=float).tolist()))
 
 
 def serialize_instance(f: InstanceFile) -> str:
     """Render a file deterministically: fixed section order, one row per line."""
     inst = f.instance
     lines = [f"bqp {f.version}", f"n {inst.n}", "Q"]
-    lines.extend(_format_row(row) for row in inst.q)
+    lines.extend(format_row(row) for row in inst.q)
     lines.append("c")
-    lines.append(_format_row(inst.c))
+    lines.append(format_row(inst.c))
     if f.certificate is not None:
         lines.append("x")
-        lines.append(_format_row(f.certificate.x))
+        lines.append(format_row(f.certificate.x))
         lines.append("lambda")
-        lines.append(_format_row(f.certificate.lam))
+        lines.append(format_row(f.certificate.lam))
     for key, value in f.metadata.items():
         # Keys and values must survive the comment-stripping, whitespace-split parse.
         if not key or any(ch.isspace() for ch in key) or "#" in key:
@@ -150,8 +152,21 @@ def _parse_floats(line: int, content: str, n: int, what: str) -> np.ndarray:
     tokens = content.split()
     if len(tokens) != n:
         raise ParseError(line, f"expected {n} values in {what} row, got {len(tokens)}")
+    # Fast path: the whole row in one C-level conversion.  ``float`` also
+    # reads ``1_0`` and non-ASCII digits, which the format does not allow, so
+    # such rows, and rows that fail, go token by token to name the first bad one.
+    if content.isascii() and "_" not in content:
+        try:
+            values = np.fromiter(map(float, tokens), float, n)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
     values = np.empty(n)
     for i, token in enumerate(tokens):
+        if not token.isascii() or "_" in token:
+            raise ParseError(line, f"bad numeric token {token!r}")
         try:
             values[i] = float(token)
         except ValueError:
@@ -174,7 +189,9 @@ def parse_instance(text: str) -> InstanceFile:
 
     line, content = cur.take("'n <dimension>'")
     tokens = content.split()
-    if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdigit() or int(tokens[1]) < 1:
+    # ``str.isdigit`` alone passes '²' and non-ASCII digits, which ``int`` rejects or reads.
+    if (len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isascii()
+            or not tokens[1].isdigit() or int(tokens[1]) < 1):
         raise ParseError(line, "expected 'n <positive integer>'")
     n = int(tokens[1])
 

@@ -80,6 +80,14 @@ class TestSolve:
         proc = run_cli("solve", str(bad))
         assert proc.returncode == 4
 
+    def test_non_ascii_dimension_is_parse_error(self, tmp_path):
+        # '\u00b2' passes str.isdigit but int() rejects it.
+        bad = tmp_path / "bad.bqp"
+        bad.write_text("bqp 1\nn \u00b2\nQ\n1\nc\n1\n", encoding="utf-8")
+        proc = run_cli("solve", str(bad))
+        assert proc.returncode == 4
+        assert proc.stderr == "line 2: expected 'n <positive integer>'\n"
+
     def test_emit_cert_verifies(self, tmp_path):
         src = tmp_path / "inst.bqp"
         cert = tmp_path / "cert.bqp"

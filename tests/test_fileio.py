@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from bqpbench import (
     serialize_instance,
     write_bench_csv,
 )
-from bqpbench.fileio import BENCH_CSV_HEADER, format_number
+from bqpbench.fileio import BENCH_CSV_HEADER, format_number, format_row
 
 
 GOLDEN_FIXTURES = [
@@ -72,6 +73,20 @@ class TestSerialize:
         again = parse_instance(serialize_instance(f))
         assert again == f
 
+    def test_generated_file_bytes_are_pinned(self):
+        inst, cert = generate_instance(GenConfig(n=300, seed=7))
+        text = serialize_instance(InstanceFile(instance=inst, certificate=cert))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "25c47dc176786cb5b11746d9b1658de75a8c17b22e8d67db9f32d2327c6997ed"
+
+    @pytest.mark.parametrize("value", [2.0 ** 53, -2.0 ** 53, 1e300, 0.5, 1e-300, -0.0])
+    def test_row_edge_values_print_as_format_number(self, value):
+        # Each value beside small integers, as in a generated Q row.
+        row = np.array([value, 3.0, -1.0])
+        assert format_row(row) == " ".join(format_number(v) for v in row)
+        f = InstanceFile(instance=BqpInstance(np.diag(row), row))
+        assert parse_instance(serialize_instance(f)) == f
+
     def test_format_number_shortest_round_trip(self):
         for value in (0.1, 1.0 / 3.0, -2.5e-17, 1234567.0, -0.0, 3.5):
             assert float(format_number(value)) == float(value)
@@ -111,6 +126,30 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse_instance(text)
         assert "bad numeric token" in exc.value.reason
+
+    @pytest.mark.parametrize("row,reason", [
+        ("1 inf x", "non-finite value 'inf'"),
+        ("x inf 1", "bad numeric token 'x'"),
+    ])
+    def test_first_bad_token_in_row_is_reported(self, row, reason):
+        text = f"bqp 1\nn 3\nQ\n1 0 0\n0 1 0\n0 0 1\nc\n{row}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert (exc.value.line, exc.value.reason) == (8, reason)
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff11\uff12", "\u0661"])
+    def test_non_ascii_or_underscored_number_rejected(self, token):
+        # Python's float() reads these as 10, 12 and 1; the format does not.
+        text = f"bqp 1\nn 2\nQ\n1 0\n0 1\nc\n1 {token}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert (exc.value.line, exc.value.reason) == (7, f"bad numeric token {token!r}")
+
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0661"])
+    def test_non_ascii_dimension_rejected(self, token):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(f"bqp 1\nn {token}\nQ\n1\nc\n1\n")
+        assert (exc.value.line, exc.value.reason) == (2, "expected 'n <positive integer>'")
 
     def test_non_finite_rejected(self):
         text = "bqp 1\nn 1\nQ\ninf\nc\n1\n"
