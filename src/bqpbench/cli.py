@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .dual_solver import SolveOptions, SolveStatus, solve_dual
@@ -149,9 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated dimensions (default 50,100,200)")
     p.add_argument("--seeds", type=_positive_int, default=3,
                    help="seeds 0..k-1 per size (default 3)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="solve this many instances concurrently in threads; each row's "
-                   "solve_ms then includes contention between them")
     p.add_argument("--csv", dest="csv_path", required=True, metavar="PATH")
     p.set_defaults(func=run_bench)
 
@@ -223,8 +219,7 @@ def run_oracle(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(task: tuple[int, int]) -> BenchRecord:
-    size, seed = task
+def _bench_one(size: int, seed: int) -> BenchRecord:
     start = time.perf_counter()
     inst, _ = generate_instance(GenConfig(n=size, seed=seed))
     gen_ms = (time.perf_counter() - start) * 1000.0
@@ -239,12 +234,7 @@ def _bench_one(task: tuple[int, int]) -> BenchRecord:
 
 
 def run_bench(args) -> int:
-    tasks = [(size, seed) for size in args.sizes for seed in range(args.seeds)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_bench_one, tasks))
-    else:
-        records = [_bench_one(task) for task in tasks]
+    records = [_bench_one(size, seed) for size in args.sizes for seed in range(args.seeds)]
     if not _write_text(args.csv_path, write_bench_csv(records)):
         return EXIT_WRITE
     print(f"wrote {args.csv_path} ({len(records)} rows)")

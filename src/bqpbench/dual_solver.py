@@ -6,12 +6,12 @@ feasibility and then until an Armijo ascent condition holds.  The
 Newton direction needs no second factorization: with ``X = diag(x(lam))``
 the negated Hessian is ``X (Q + diag(lam))^-1 X``, so the step solving
 ``-H d = grad`` is ``X^-1 (Q + diag(lam)) X^-1 grad``, one matrix-vector
-product.  Only when some ``|x_i(lam)|`` falls below ``1e-3`` (where that
-inverse blows up, and ``-H`` is singular at an exact zero) does the
-solver form the Hessian and solve the ridge-regularized system instead.
-At a stationary point the solved vector ``x(lam)`` has unit entries;
-rounding it to signs and checking the primal-dual gap yields (or
-refuses) a global-optimality certificate.
+product.  When some ``|x_i(lam)|`` falls below ``1e-3`` that formula
+divides by near-zeros (and ``-H`` is singular at an exact zero), so the
+solver steps along the gradient instead; it never forms a matrix other
+than ``Q + diag(lam)``.  At a stationary point the solved vector
+``x(lam)`` has unit entries; rounding it to signs and checking the
+primal-dual gap yields (or refuses) a global-optimality certificate.
 """
 
 from __future__ import annotations
@@ -26,14 +26,15 @@ from .model import (
     BqpInstance,
     DualState,
     dual_gradient,
-    dual_hessian,
     dual_value,
     is_dual_feasible,
     objective_value,
 )
-from .numerics import NotPositiveDefinite, spd_factorize, spd_solve
 
 _MAX_BACKTRACKS = 60
+_BACKTRACK_FACTOR = 0.5
+_ARMIJO_COEFF = 1e-4
+_SIGN_TOL = 1e-4
 _MAX_SHIFT_DOUBLINGS = 60
 _GAP_REL_TOL = 1e-6
 # Below this min |x_i(lam)| the closed-form step divides by near-zeros.
@@ -61,23 +62,23 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Stopping rule of :func:`solve_dual`.
+
+    The line search and rounding are module constants: each backtrack
+    scales the step by ``_BACKTRACK_FACTOR = 0.5``, at most
+    ``_MAX_BACKTRACKS = 60`` times; a step is accepted when the Armijo
+    condition with ``_ARMIJO_COEFF = 1e-4`` holds; and rounding accepts
+    entries within ``_SIGN_TOL = 1e-4`` of +/-1.
+    """
+
     grad_tol: float = 1e-8
     max_iter: int = 100
-    backtrack_factor: float = 0.5
-    armijo_coeff: float = 1e-4
-    sign_tol: float = 1e-4
 
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_coeff < 1.0:
-            raise ValueError("armijo_coeff must lie in (0, 1)")
-        if not 0.0 < self.sign_tol < 0.5:
-            raise ValueError("sign_tol must lie in (0, 0.5)")
 
 
 @dataclass
@@ -134,38 +135,20 @@ def round_to_signs(x_raw, sign_tol: float) -> np.ndarray:
     return np.sign(x_raw)
 
 
-def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve ``(-H + ridge*I) d = grad``; ascent direction since -H is PSD.
-
-    The fallback of :func:`_ascent_direction` for near-zero ``x(lam)``.
-    The ridge keeps the system definite when -H is singular (any zero
-    coordinate in x(lam) zeroes a row) without materially biasing steps.
-    """
-    neg = -hess
-    ridge = 1e-10 * (1.0 + float(np.abs(neg).sum(axis=1).max()))
-    eye = np.eye(len(grad))
-    for _ in range(3):
-        try:
-            return spd_solve(spd_factorize(neg + ridge * eye), grad)
-        except NotPositiveDefinite:
-            ridge *= 100.0
-    return grad.copy()
-
-
 def _ascent_direction(inst: BqpInstance, state: DualState, grad: np.ndarray) -> np.ndarray:
     """Newton direction at ``state``: ``X^-1 (Q + diag(lam)) X^-1 grad``.
 
-    Falls back to the ridge-regularized Hessian solve when some entry of
-    ``x(lam)`` is within ``_CLOSED_FORM_MIN_X`` of zero.
+    Returns ``grad`` itself when some entry of ``x(lam)`` is within
+    ``_CLOSED_FORM_MIN_X`` of zero.
     """
     x = state.x_of_lambda
     if float(np.abs(x).min()) < _CLOSED_FORM_MIN_X:
-        return _newton_direction(dual_hessian(state), grad)
+        return grad
     v = grad / x
     return (inst.q @ v + state.lam * v) / x
 
 
-def _backtrack(inst, state, value, grad, direction, opts):
+def _backtrack(inst, state, value, grad, direction):
     """Shrink the step until the trial point is feasible and Armijo holds.
 
     Returns ``(accepted, state, value)``; at most 60 shrinks in total
@@ -177,10 +160,10 @@ def _backtrack(inst, state, value, grad, direction, opts):
         trial = is_dual_feasible(inst, state.lam + t * direction)
         if trial.feasible:
             trial_value = dual_value(trial, inst)
-            if trial_value >= value + opts.armijo_coeff * t * slope:
+            if trial_value >= value + _ARMIJO_COEFF * t * slope:
                 assert trial_value >= value, "accepted step must not decrease the dual"
                 return True, trial, trial_value
-        t *= opts.backtrack_factor
+        t *= _BACKTRACK_FACTOR
     return False, state, value
 
 
@@ -218,11 +201,11 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
         if stationary or iterations == opts.max_iter:
             break
         direction = _ascent_direction(inst, state, grad)
-        accepted, state, value = _backtrack(inst, state, value, grad, direction, opts)
+        accepted, state, value = _backtrack(inst, state, value, grad, direction)
+        if not accepted and direction is not grad:
+            accepted, state, value = _backtrack(inst, state, value, grad, grad)
         if not accepted:
-            accepted, state, value = _backtrack(inst, state, value, grad, grad, opts)
-            if not accepted:
-                break
+            break
         iterations += 1
         trace.append(value)
 
@@ -232,7 +215,7 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     gap = math.nan
     status = SolveStatus.MAX_ITERATIONS
     try:
-        x = round_to_signs(x_raw, opts.sign_tol)
+        x = round_to_signs(x_raw, _SIGN_TOL)
         primal = objective_value(inst, x)
         gap = primal - value
     except NotBoolean:

@@ -6,8 +6,9 @@ quadratic to ``Q + diag(lam)``; whenever that shift is positive definite
 the dual function has the closed form ``-0.5 * c'(Q + diag(lam))^-1 c -
 0.5 * sum(lam)``, which this module evaluates together with its gradient
 through a single cached factorization: one LAPACK Cholesky and one LAPACK
-solve per multiplier point.  The explicit Hessian costs n more solves and
-is formed only on request.
+solve per multiplier point.  The explicit Hessian costs n more solves;
+it is a reference for the solver's closed-form Newton step, which never
+forms it.
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ def dual_hessian(state: DualState) -> np.ndarray:
     where ``M`` is the inverse of the shifted matrix.
 
     Symmetric and negative semidefinite wherever the dual is defined.
-    Forming ``M`` takes n solves against the cached factor; the solver
-    needs it only when some entry of ``x(lam)`` is near zero (see
-    ``dual_solver``).
+    Forming ``M`` takes n solves against the cached factor.  This is a
+    reference: ``dual_solver`` never calls it and takes its Newton step
+    in closed form (see that module).
     """
     if not state.feasible:
         raise Infeasible("dual Hessian undefined: shifted matrix is not positive definite")

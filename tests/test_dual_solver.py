@@ -181,54 +181,54 @@ class TestSolveBehavior:
         with pytest.raises(ValueError):
             SolveOptions(grad_tol=0.0)
         with pytest.raises(ValueError):
-            SolveOptions(backtrack_factor=1.0)
-        with pytest.raises(ValueError):
-            SolveOptions(sign_tol=0.5)
-        with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
 
 
 class TestNewtonDirection:
     def test_closed_form_solves_newton_system(self, monkeypatch):
         import bqpbench.dual_solver as ds
+        import bqpbench.model
 
+        assert not hasattr(ds, "dual_hessian")
         inst, _ = generate_instance(GenConfig(n=60, seed=0))
         state = initial_point(inst)
         for _ in range(2):
             grad = dual_gradient(state)
             hess = dual_hessian(state)
             with monkeypatch.context() as m:
-                m.setattr(ds, "dual_hessian", None)  # the closed form must not need it
+                m.setattr(bqpbench.model, "dual_hessian", None)  # the closed form must not need it
                 direction = ds._ascent_direction(inst, state, grad)
             np.testing.assert_allclose(direction, np.linalg.solve(-hess, grad), rtol=1e-10)
-            # The ridge path solves (-H + ridge*I) d = grad, which moves d by
-            # about ridge / lambda_min(-H) relative (5e-8 here).
-            ridge = 1e-10 * (1.0 + np.abs(hess).sum(axis=1).max())
-            shift = ridge / np.linalg.eigvalsh(-hess)[0]
-            np.testing.assert_allclose(
-                direction, ds._newton_direction(hess, grad), rtol=2.0 * shift
-            )
             state = is_dual_feasible(inst, state.lam + direction)
             assert state.feasible
 
-    def test_zero_solution_takes_ridge_fallback(self, monkeypatch):
-        # With c = 0, x(lam) = 0: the closed form would divide by zero.
+    def test_zero_solution_steps_along_gradient(self, monkeypatch):
+        # With c = 0, x(lam) = 0: the closed form would divide by zero, so
+        # the direction is the gradient and no Hessian is formed.
         import bqpbench.dual_solver as ds
+        import bqpbench.model
 
-        calls = []
+        hessians = []
+        feasibility_tests = []
 
-        def counted(state):
-            calls.append(state)
+        def counted_hessian(state):
+            hessians.append(state)
             return dual_hessian(state)
 
-        monkeypatch.setattr(ds, "dual_hessian", counted)
+        def counted_feasible(inst, lam):
+            feasibility_tests.append(lam)
+            return is_dual_feasible(inst, lam)
+
+        monkeypatch.setattr(bqpbench.model, "dual_hessian", counted_hessian)
         inst = BqpInstance([[2.0, 1.0], [1.0, 3.0]], np.zeros(2))
         state = initial_point(inst)
         grad = dual_gradient(state)
         direction = ds._ascent_direction(inst, state, grad)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(direction, ds._newton_direction(dual_hessian(state), grad))
-        assert np.isfinite(direction).all()
-        report = ds.solve_dual(inst, SolveOptions(max_iter=3))
+        np.testing.assert_array_equal(direction, grad)
+
+        monkeypatch.setattr(ds, "is_dual_feasible", counted_feasible)
+        report = ds.solve_dual(inst, SolveOptions(max_iter=5))
         assert report.status is SolveStatus.MAX_ITERATIONS
-        assert len(calls) == 4
+        assert len(feasibility_tests) <= 10
+        assert report.dual_value <= 1.5  # brute-force minimum: x = (1, -1)
+        assert hessians == []
