@@ -1,4 +1,4 @@
-"""Line-oriented text serialization for instances, plus the bench CSV.
+r"""Line-oriented text serialization for instances, plus the bench CSV.
 
 The ``.bqp`` format is a stable public contract, human-diffable and exact
 for integer data::
@@ -19,16 +19,20 @@ for integer data::
 Sections appear in exactly that order; ``#`` starts a comment; numbers
 are ASCII decimal literals (no ``_`` separators, no other digits), written
 in the shortest representation that round-trips (integral values print
-with no decimal point).  A ``meta`` value is the rest of its line: one
-line, with no ``#`` and no leading or trailing whitespace.  Parsing is
-strict: unknown sections, dimension mismatches, asymmetric matrices, and
-non-sign certificate entries are all rejected with the offending line
-number.  A file that ends before the data its ``n`` declares is rejected
-as an unexpected end of file at its last line.
+with no decimal point).  Lines end at ``\n`` (a ``\r`` before it is
+dropped), and tokens are separated by spaces and tabs only: any other
+whitespace character outside a comment, such as U+00A0, ``\x0c``,
+``\x1c`` or U+2028, is rejected at its line.  A ``meta`` value is the
+rest of its line, with no ``#`` and no leading or trailing whitespace.
+Parsing is strict: unknown sections, dimension mismatches, asymmetric
+matrices, and non-sign certificate entries are all rejected with the
+offending line number.  A file that ends before the data its ``n``
+declares is rejected as an unexpected end of file at its last line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +42,9 @@ from .model import BqpInstance
 
 FORMAT_VERSION = 1
 BENCH_CSV_HEADER = "n,seed,gen_ms,solve_ms,iters,gap,certified"
+# Whitespace that ``str.split()`` would treat as a separator, other than space and tab.
+_OTHER_SPACE = re.compile(r"[^\S \t]")
+_ASCII_OTHER_SPACE = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 class ParseError(Exception):
@@ -118,8 +125,8 @@ def serialize_instance(f: InstanceFile) -> str:
         # Keys and values must survive the comment-stripping, whitespace-split parse.
         if not key or any(ch.isspace() for ch in key) or "#" in key:
             raise ValueError(f"metadata key {key!r} is not representable")
-        # A value is one non-empty line as ``str.splitlines`` sees it.
-        if "#" in value or value != value.strip() or len(value.splitlines()) != 1:
+        # A value is non-empty, unpadded, and separated by spaces and tabs only.
+        if not value or "#" in value or value != value.strip() or _OTHER_SPACE.search(value):
             raise ValueError(f"metadata value {value!r} is not representable")
         lines.append(f"meta {key} {value}")
     return "\n".join(lines) + "\n"
@@ -130,12 +137,21 @@ class _Cursor:
 
     def __init__(self, text: str):
         self.rows = []
-        for number, raw in enumerate(text.splitlines(), start=1):
-            content = raw.split("#", 1)[0].strip()
+        for number, raw in enumerate(text.split("\n"), start=1):
+            if raw.endswith("\r"):
+                raw = raw[:-1]
+            content = raw.partition("#")[0].strip(" \t")
             if content:
                 self.rows.append((number, content))
         self.pos = 0
         self.last_line = self.rows[-1][0] if self.rows else 1
+        # Only a text holding a separator other than space, tab or CRLF needs
+        # the per-line scan in ``take``; these whole-text tests run in C.
+        self.scan = (
+            not text.isascii()
+            or ("\r" in text and text.count("\r") != text.count("\r\n"))
+            or any(ch in text for ch in _ASCII_OTHER_SPACE)
+        )
 
     def peek(self):
         return self.rows[self.pos] if self.pos < len(self.rows) else None
@@ -145,6 +161,9 @@ class _Cursor:
         if row is None:
             raise ParseError(self.last_line, f"unexpected end of file, expected {what}")
         self.pos += 1
+        other = self.scan and _OTHER_SPACE.search(row[1])
+        if other:
+            raise ParseError(row[0], f"separator {other.group()!r} is not a space or tab")
         return row
 
 

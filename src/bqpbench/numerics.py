@@ -6,15 +6,59 @@ Cholesky factorization as the positive-definiteness witness (one LAPACK
 call), and an iterative extremal-eigenvalue estimate for semidefiniteness
 checks.  Matrices are plain float64 numpy arrays; symmetry is validated
 exactly (entrywise equality) at every entry point.
+
+LAPACK comes from scipy's compiled f2py wrappers, the same objects that
+``scipy.linalg.lapack`` exposes.  Their extension module
+``scipy/linalg/_flapack*.so`` is loaded by file location and registered
+as ``scipy.linalg._flapack``, so ``scipy.linalg``'s package init (and the
+``numpy.testing`` chain it imports) never runs, and a later
+``import scipy.linalg`` reuses this module.  Where the file cannot be
+found (zip or frozen layouts), ``from scipy.linalg import lapack``
+supplies the same wrappers, only slower to import.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_file() -> str | None:
+    """Path of scipy's ``linalg/_flapack`` extension; runs no scipy code."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec.submodule_search_locations or []) if spec else []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK wrappers, without importing ``scipy.linalg``."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    path = _flapack_file()
+    if path is None:
+        from scipy.linalg import lapack
+        return lapack
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
 
 
 class DimensionMismatch(ValueError):
@@ -79,7 +123,7 @@ def spd_factorize(a) -> SpdFactor:
     a = require_symmetric(a)
     n = a.shape[0]
     pivot_tol = 1e-12 * (1.0 + float(np.abs(a.diagonal()).max()))
-    lower, info = lapack.dpotrf(a, lower=1)
+    lower, info = _flapack.dpotrf(a, lower=1)
     # info > 0 names (1-based) the pivot LAPACK could not take; the
     # pivots before it are valid and still face the tolerance.
     checked = info - 1 if info > 0 else n
@@ -101,8 +145,26 @@ def spd_solve(factor: SpdFactor, b) -> np.ndarray:
         raise DimensionMismatch(
             f"right-hand side of shape {b.shape} does not match factor dimension {factor.n}"
         )
-    x, _ = lapack.dpotrs(factor.lower, b, lower=1)
+    x, _ = _flapack.dpotrs(factor.lower, b, lower=1)
     return x
+
+
+def _largest_ritz_pair(alphas, betas) -> tuple[float, float]:
+    """Largest eigenvalue of the k×k tridiagonal (``alphas``, ``betas``), k ≥ 2,
+    and the last entry of its eigenvector.
+
+    The two LAPACK calls ``scipy.linalg.eigh_tridiagonal(select="i")``
+    makes: ``dstebz`` bisects for the k-th eigenvalue, ``dstein`` runs
+    inverse iteration for its vector.
+    """
+    k = len(alphas)
+    m, ritz, block, split, info = _flapack.dstebz(alphas, betas, 2, 0.0, 0.0, k, k, 0.0, "B")
+    if info != 0 or m != 1:
+        raise NoConvergence(f"dstebz failed (info {info}, {m} values)")
+    ritz_vecs, info = _flapack.dstein(alphas, betas, ritz[:m], block, split)
+    if info != 0:
+        raise NoConvergence(f"dstein failed (info {info})")
+    return float(ritz[0]), float(ritz_vecs[-1, 0])
 
 
 def min_eigenvalue(a) -> float:
@@ -169,10 +231,7 @@ def min_eigenvalue(a) -> float:
             if k == 1:
                 theta, tail = alphas[0], 1.0
             else:
-                vals, vecs = eigh_tridiagonal(
-                    alphas, betas, select="i", select_range=(k - 1, k - 1)
-                )
-                theta, tail = float(vals[0]), float(vecs[-1, 0])
+                theta, tail = _largest_ritz_pair(alphas, betas)
 
             if beta <= breakdown_tol or total == n:
                 # Invariant subspace (or full span): the block's Ritz max is exact.

@@ -151,6 +151,34 @@ class TestParseErrors:
             parse_instance(f"bqp 1\nn {token}\nQ\n1\nc\n1\n")
         assert (exc.value.line, exc.value.reason) == (2, "expected 'n <positive integer>'")
 
+    @pytest.mark.parametrize("sep", [
+        "\u00a0", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+        "\u2028", "\u2029", "\r",
+    ])
+    def test_separator_other_than_space_or_tab_rejected(self, sep):
+        text = f"bqp 1\nn 2\nQ\n1{sep}0\n0 1\nc\n1 1\n"
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert (exc.value.line, exc.value.reason) == (4, f"separator {sep!r} is not a space or tab")
+
+    def test_one_line_q_block_is_not_two_rows(self):
+        # ``str.splitlines`` would break this line at \x1c and read I2.
+        with pytest.raises(ParseError) as exc:
+            parse_instance("bqp 1\nn 2\nQ\n1 0\x1c0 1\nc\n1 1\n")
+        assert (exc.value.line, exc.value.reason) == (4, "separator '\\x1c' is not a space or tab")
+
+    @pytest.mark.parametrize("text,line", [
+        ("bqp\u00a01\nn 1\nQ\n1\nc\n1\n", 1),
+        ("bqp 1\nn\u20281\nQ\n1\nc\n1\n", 2),
+        ("bqp 1\nn 1\nQ\n1\nc\n1\nmeta k a\u00a0b\n", 7),
+        ("bqp 1\nn 1\nQ\u2029\n1\nc\n1\n", 3),
+    ])
+    def test_other_separator_in_structural_line_rejected(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert exc.value.line == line
+        assert "is not a space or tab" in exc.value.reason
+
     def test_non_finite_rejected(self):
         text = "bqp 1\nn 1\nQ\ninf\nc\n1\n"
         with pytest.raises(ParseError):
@@ -235,11 +263,26 @@ class TestParseTolerance:
         text = "bqp 1\nn 1\nQ\n1\nc\n1\nmeta note one two three\n"
         assert parse_instance(text).metadata == {"note": "one two three"}
 
+    def test_crlf_line_ends_parse(self):
+        text = load_fixture_text("example1.bqp")
+        assert parse_instance(text.replace("\n", "\r\n")) == parse_instance(text)
+
+    def test_comments_may_hold_any_whitespace(self):
+        text = "bqp 1\nn 1 # \u00a0\x1c\u2028\r\nQ\n1\nc\n1\n"
+        assert parse_instance(text).instance.q[0, 0] == 1.0
+
+    def test_non_ascii_metadata_value_round_trips(self):
+        f = InstanceFile(instance=BqpInstance([[1.0]], [1.0]), metadata={"note": "café au\tlait"})
+        text = serialize_instance(f)
+        assert parse_instance(text) == f
+        assert serialize_instance(parse_instance(text)) == text
+
     def test_unrepresentable_metadata_rejected_at_serialize(self):
         inst = BqpInstance([[1.0]], [1.0])
         for metadata in (
             {"a b": "x"}, {"k": "with # mark"}, {"k": ""},
-            {"k": "a\rb"}, {"k": "a\x0cb"}, {"k": "a\u2028b"}, {"k": " lead"}, {"k": "trail "},
+            {"k": "a\rb"}, {"k": "a\x0cb"}, {"k": "a\u2028b"}, {"k": "a\u00a0b"},
+            {"k": " lead"}, {"k": "trail "},
         ):
             with pytest.raises(ValueError):
                 serialize_instance(InstanceFile(instance=inst, metadata=metadata))

@@ -1,16 +1,25 @@
 import math
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import golden_data as gold
 from bqpbench import (
     DimensionMismatch,
+    NoConvergence,
     NotPositiveDefinite,
     min_eigenvalue,
+    numerics,
     spd_factorize,
     spd_solve,
 )
+
+LAPACK_ROUTINES = ("dpotrf", "dpotrs", "dstebz", "dstein")
 
 
 def shifted_example1():
@@ -205,3 +214,79 @@ class TestMinEigenvalue:
 
     def test_repeated_eigenvalues_exact(self):
         assert min_eigenvalue(np.diag([4.0, 4.0, 4.0, 9.0])) == pytest.approx(4.0, abs=1e-10)
+
+
+class TestLargestRitzPair:
+    def test_bitwise_equal_to_eigh_tridiagonal(self):
+        # eigh_tridiagonal(select="i") makes the same two LAPACK calls behind its checks.
+        rng = np.random.default_rng(29)
+        for k in range(2, 61):
+            for _ in range(3):
+                alphas = rng.standard_normal(k).tolist()
+                betas = rng.uniform(0.0, 2.0, k - 1).tolist()
+                vals, vecs = scipy.linalg.eigh_tridiagonal(
+                    alphas, betas, select="i", select_range=(k - 1, k - 1)
+                )
+                theta, tail = numerics._largest_ritz_pair(alphas, betas)
+                assert theta == float(vals[0])
+                assert tail == float(vecs[-1, 0])
+
+    @pytest.mark.parametrize("stebz,stein", [
+        ((0, np.zeros(3), None, None, 0), None),
+        ((1, np.zeros(3), None, None, 2), None),
+        ((1, np.zeros(3), None, None, 0), (np.zeros((3, 1)), 1)),
+    ])
+    def test_lapack_failure_raises_no_convergence(self, monkeypatch, stebz, stein):
+        fake = SimpleNamespace(dstebz=lambda *args: stebz, dstein=lambda *args: stein)
+        monkeypatch.setattr(numerics, "_flapack", fake)
+        with pytest.raises(NoConvergence):
+            numerics._largest_ritz_pair([1.0, 2.0, 3.0], [0.5, 0.5])
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's bqpbench."""
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout.strip()
+
+
+class TestLapackSource:
+    def test_cli_import_leaves_scipy_linalg_out(self):
+        out = run_fresh(
+            "import sys, bqpbench.cli\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+        )
+        assert out.split() == ["scipy.linalg._flapack"]
+
+    def test_later_scipy_linalg_import_reuses_the_module(self):
+        out = run_fresh(
+            "from bqpbench import numerics\n"
+            "import scipy.linalg\n"
+            "lapack = scipy.linalg.lapack\n"
+            f"print(lapack._flapack is numerics._flapack and all(getattr(lapack, r) is "
+            f"getattr(numerics._flapack, r) for r in {LAPACK_ROUTINES!r}))"
+        )
+        assert out == "True"
+
+    def test_earlier_scipy_linalg_import_is_reused(self):
+        out = run_fresh(
+            "import scipy.linalg\n"
+            "from bqpbench import numerics\n"
+            "print(numerics._flapack is scipy.linalg.lapack._flapack)"
+        )
+        assert out == "True"
+
+    def test_fallback_when_the_file_is_not_found(self, monkeypatch):
+        a = np.array([[4.0, 2.0, 0.5], [2.0, 3.0, 1.0], [0.5, 1.0, 2.0]])
+        expected = spd_factorize(a).lower
+        monkeypatch.setattr(numerics, "_flapack_file", lambda: None)
+        monkeypatch.delitem(sys.modules, numerics._FLAPACK)
+        fallback = numerics._load_flapack()
+        for routine in LAPACK_ROUTINES:
+            assert getattr(fallback, routine) is getattr(scipy.linalg.lapack, routine)
+        monkeypatch.setattr(numerics, "_flapack", fallback)
+        np.testing.assert_array_equal(spd_factorize(a).lower, expected)
