@@ -1,5 +1,10 @@
 """Command-line front end: gen, solve, verify, oracle, and bench.
 
+Flag values follow the ``.bqp`` number grammar, read by ``fileio``'s
+``read_number`` (a finite ASCII decimal literal, no ``_``) and
+``read_count`` (ASCII digits only); any other value is a usage error
+naming the flag.
+
 Exit codes: 0 success (solve: Certified; verify: all checks pass),
 1 failed solve/verification, 2 invalid flags, 3 write failure,
 4 parse/read failure, 5 oracle refusal on oversized instances.
@@ -20,6 +25,8 @@ from .fileio import (
     format_number,
     format_row,
     parse_instance,
+    read_count,
+    read_number,
     serialize_instance,
     write_bench_csv,
 )
@@ -35,54 +42,23 @@ EXIT_PARSE = 4
 EXIT_TOO_LARGE = 5
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _flag(read, ok, need: str, many: bool = False):
+    """An argparse type: ``read`` the value with the file's number grammar
+    (``read_number`` or ``read_count``), then require ``ok`` of it, or with
+    ``many`` of each item of a comma-separated list (empty items skipped)."""
 
+    def parse(text: str):
+        items = [tok for tok in map(str.strip, text.split(",")) if tok] if many else [text]
+        try:
+            # A list with no items is read, and rejected, as the whole text.
+            values = [read(item) for item in items or [text]]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not all(map(ok, values)):
+            raise argparse.ArgumentTypeError(f"must be {need}")
+        return values if many else values[0]
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
-def _size_list(text: str) -> list[int]:
-    try:
-        sizes = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid size list {text!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise argparse.ArgumentTypeError("sizes must be positive integers")
-    return sizes
+    return parse
 
 
 def _write_text(path: str, content: str) -> bool:
@@ -113,13 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    count = _flag(read_count, lambda v: v >= 1, "at least 1")
+    positive = _flag(read_number, lambda v: v > 0, "positive")
 
     p = sub.add_parser("gen", help="generate an instance with a planted optimum")
-    p.add_argument("-n", type=_positive_int, required=True, help="dimension")
-    p.add_argument("--base", type=_positive_float, default=10.0, help="entry scale (default 10)")
-    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
-    p.add_argument("--margin", type=_nonneg_float, default=0.0,
-                   help="extra shift added to every multiplier (default 0)")
+    p.add_argument("-n", type=count, required=True, help="dimension")
+    p.add_argument("--base", type=positive, default=10.0, help="entry scale (default 10)")
+    p.add_argument("--seed", type=_flag(read_count, lambda v: v < 2 ** 64, "below 2**64"),
+                   default=0, help="RNG seed (default 0)")
+    p.add_argument("--margin", type=_flag(read_number, lambda v: v >= 0, "nonnegative"),
+                   default=0.0, help="extra shift added to every multiplier (default 0)")
     p.add_argument("--with-certificate", action="store_true",
                    help="include the planted x and lambda sections in the file")
     p.add_argument("-o", dest="out_path", required=True, metavar="PATH", help="output file")
@@ -127,15 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="maximize the dual and certify the optimum")
     p.add_argument("in_path", metavar="PATH")
-    p.add_argument("--grad-tol", type=_positive_float, default=1e-8)
-    p.add_argument("--max-iter", type=_positive_int, default=100)
+    p.add_argument("--grad-tol", type=positive, default=1e-8)
+    p.add_argument("--max-iter", type=count, default=100)
     p.add_argument("--emit-cert", metavar="PATH", default=None,
                    help="write the solved certificate to this file")
     p.set_defaults(func=run_solve)
 
     p = sub.add_parser("verify", help="check a stored certificate")
     p.add_argument("in_path", metavar="PATH")
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=positive, default=1e-6)
     p.set_defaults(func=run_verify)
 
     p = sub.add_parser("oracle", help="brute-force the exact minimum (small n)")
@@ -144,9 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_oracle)
 
     p = sub.add_parser("bench", help="timing sweep over generated instances")
-    p.add_argument("--sizes", type=_size_list, default=[50, 100, 200],
+    p.add_argument("--sizes", type=_flag(read_count, lambda v: v >= 1, "at least 1", many=True),
+                   default=[50, 100, 200],
                    help="comma-separated dimensions (default 50,100,200)")
-    p.add_argument("--seeds", type=_positive_int, default=3,
+    p.add_argument("--seeds", type=count, default=3,
                    help="seeds 0..k-1 per size (default 3)")
     p.add_argument("--csv", dest="csv_path", required=True, metavar="PATH")
     p.set_defaults(func=run_bench)

@@ -75,8 +75,8 @@ class SolveOptions:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

@@ -32,6 +32,7 @@ declares is rejected as an unexpected end of file at its last line.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -66,16 +67,6 @@ class InstanceFile:
     metadata: dict[str, str] = field(default_factory=dict)
     version: int = FORMAT_VERSION
 
-    def __eq__(self, other):
-        if not isinstance(other, InstanceFile):
-            return NotImplemented
-        return (
-            self.version == other.version
-            and self.instance == other.instance
-            and self.certificate == other.certificate
-            and self.metadata == other.metadata
-        )
-
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -94,6 +85,28 @@ class BenchRecord:
             raise ValueError("n must be at least 1")
         if self.gen_millis < 0 or self.solve_millis < 0:
             raise ValueError("timings must be nonnegative")
+
+
+def read_number(token: str) -> float:
+    """A number of the format, a finite ASCII decimal literal with no ``_``,
+    or ``ValueError`` naming the token."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"bad numeric token {token!r}")
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"bad numeric token {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
+def read_count(token: str) -> int:
+    """A count of the format, ASCII digits only (``str.isdigit`` alone passes
+    '²' and non-ASCII digits), or ``ValueError`` naming the token."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"bad integer token {token!r}")
+    return int(token)
 
 
 def format_number(value: float) -> str:
@@ -173,7 +186,8 @@ def _parse_floats(line: int, content: str, n: int, what: str) -> np.ndarray:
         raise ParseError(line, f"expected {n} values in {what} row, got {len(tokens)}")
     # Fast path: the whole row in one C-level conversion.  ``float`` also
     # reads ``1_0`` and non-ASCII digits, which the format does not allow, so
-    # such rows, and rows that fail, go token by token to name the first bad one.
+    # such rows, and rows that fail, go through ``read_number`` token by token
+    # to name the first bad one.
     if content.isascii() and "_" not in content:
         try:
             values = np.fromiter(map(float, tokens), float, n)
@@ -182,17 +196,10 @@ def _parse_floats(line: int, content: str, n: int, what: str) -> np.ndarray:
         else:
             if np.isfinite(values).all():
                 return values
-    values = np.empty(n)
-    for i, token in enumerate(tokens):
-        if not token.isascii() or "_" in token:
-            raise ParseError(line, f"bad numeric token {token!r}")
-        try:
-            values[i] = float(token)
-        except ValueError:
-            raise ParseError(line, f"bad numeric token {token!r}") from None
-        if not np.isfinite(values[i]):
-            raise ParseError(line, f"non-finite value {token!r}")
-    return values
+    try:
+        return np.fromiter(map(read_number, tokens), float, n)
+    except ValueError as exc:
+        raise ParseError(line, str(exc)) from None
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -208,11 +215,12 @@ def parse_instance(text: str) -> InstanceFile:
 
     line, content = cur.take("'n <dimension>'")
     tokens = content.split()
-    # ``str.isdigit`` alone passes '²' and non-ASCII digits, which ``int`` rejects or reads.
-    if (len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isascii()
-            or not tokens[1].isdigit() or int(tokens[1]) < 1):
+    try:
+        n = read_count(tokens[1]) if len(tokens) == 2 and tokens[0] == "n" else 0
+    except ValueError:
+        n = 0
+    if n < 1:
         raise ParseError(line, "expected 'n <positive integer>'")
-    n = int(tokens[1])
 
     line, content = cur.take("section 'Q'")
     if content != "Q":

@@ -11,6 +11,7 @@ ships with its own optimality certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,10 @@ class GenConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not self.base > 0:
-            raise ValueError("base must be positive")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
+        if not 0 < self.base < math.inf:
+            raise ValueError("base must be positive and finite")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError("margin must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 

@@ -78,7 +78,8 @@ class NotPositiveDefinite(Exception):
 
 
 class NoConvergence(Exception):
-    """The iterative eigenvalue estimate exceeded its iteration cap."""
+    """The eigenvalue estimate failed: a LAPACK tridiagonal eigensolver
+    reported an error, or no fresh start vector extended the basis."""
 
 
 def require_symmetric(a) -> np.ndarray:
@@ -191,10 +192,8 @@ def min_eigenvalue(a) -> float:
     shift = float((a.diagonal() + np.abs(a).sum(axis=1) - np.abs(a.diagonal())).max())
 
     rng = np.random.default_rng(0x5A2C6E1)
-    cap = 10 * n
     basis = np.zeros((n, n))
     total = 0
-    matvecs = 0
     best = -math.inf
     dead_starts = 0
 
@@ -217,10 +216,7 @@ def min_eigenvalue(a) -> float:
         while True:
             basis[:, total] = v
             total += 1
-            if matvecs >= cap:
-                raise NoConvergence(f"no convergence within {cap} iterations")
             w = shift * v - a @ v
-            matvecs += 1
             alphas.append(float(v @ w))
             # Full reorthogonalization keeps the basis numerically orthonormal.
             w -= basis[:, :total] @ (basis[:, :total].T @ w)

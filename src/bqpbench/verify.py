@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import nan
+from math import inf, nan
 
 import numpy as np
 
@@ -58,8 +58,8 @@ def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) 
     boolean_ok: every entry of ``x`` is exactly +/-1; gap_ok: the
     primal-dual gap is at most ``tol * (1 + |f(x)|)`` in magnitude.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
     x = as_vector(cert.x, inst.n)
     lam = as_vector(cert.lam, inst.n)
 

@@ -232,3 +232,9 @@ class TestNewtonDirection:
         assert len(feasibility_tests) <= 10
         assert report.dual_value <= 1.5  # brute-force minimum: x = (1, -1)
         assert hessians == []
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_options_reject_non_finite_grad_tol(value):
+    with pytest.raises(ValueError, match="grad_tol"):
+        SolveOptions(grad_tol=value)

@@ -145,3 +145,11 @@ class TestRetryPolicy:
         monkeypatch.setattr(gen, "spd_factorize", hopeless)
         with pytest.raises(GenerationFailed):
             gen.generate_instance(GenConfig(n=3, seed=0))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("base", float("inf")), ("base", float("nan")), ("margin", float("inf")), ("margin", float("nan")),
+])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        GenConfig(n=3, **{field: value})

@@ -177,3 +177,11 @@ def test_owned_matrices_are_validated_once(monkeypatch):
     is_psd, _ = schur_block_psd(inst, cert.lam, float(inst.c @ cert.x) + 1.0)
     assert is_psd
     assert len(calls) == 1  # min_eigenvalue of the bordered block
+
+
+def test_infinite_tolerance_is_rejected(example1, example1_cert):
+    """An infinite tolerance would pass any stationarity residual and gap."""
+    tampered = Certificate(x=example1_cert.x, lam=example1_cert.lam + 5.0)
+    assert not verify_certificate(example1, tampered).overall
+    with pytest.raises(ValueError, match="finite"):
+        verify_certificate(example1, tampered, tol=math.inf)
