@@ -44,7 +44,6 @@ from .model import (
 )
 from .numerics import (
     DimensionMismatch,
-    NoConvergence,
     NotPositiveDefinite,
     SpdFactor,
     min_eigenvalue,
@@ -66,7 +65,6 @@ __all__ = [
     "GenerationFailed",
     "Infeasible",
     "InstanceFile",
-    "NoConvergence",
     "NoFeasibleStart",
     "NotBoolean",
     "NotPositiveDefinite",

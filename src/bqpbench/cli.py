@@ -6,7 +6,7 @@ Flag values follow the ``.bqp`` number grammar, read by ``fileio``'s
 naming the flag.
 
 Exit codes: 0 success (solve: Certified; verify: all checks pass),
-1 failed solve/verification, 2 invalid flags, 3 write failure,
+1 failed generation/solve/verification, 2 invalid flags, 3 write failure,
 4 parse/read failure, 5 oracle refusal on oversized instances.
 """
 
@@ -30,7 +30,7 @@ from .fileio import (
     serialize_instance,
     write_bench_csv,
 )
-from .generator import Certificate, GenConfig, generate_instance
+from .generator import Certificate, GenConfig, GenerationFailed, generate_instance
 from .model import objective_value
 from .oracle import TooLarge, brute_force_minimize
 from .verify import verify_certificate
@@ -135,9 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_gen(args) -> int:
-    inst, cert = generate_instance(
-        GenConfig(n=args.n, base=args.base, seed=args.seed, margin=args.margin)
-    )
+    cfg = GenConfig(n=args.n, base=args.base, seed=args.seed, margin=args.margin)
+    try:
+        inst, cert = generate_instance(cfg)
+    except GenerationFailed as exc:
+        print(f"generation failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     metadata = {"seed": str(args.seed), "base": format_number(args.base),
                 "margin": format_number(args.margin), "generator": f"bqpbench {__version__}"}
     content = serialize_instance(InstanceFile(

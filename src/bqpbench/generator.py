@@ -23,7 +23,7 @@ _MAX_REDRAWS = 100
 
 
 class GenerationFailed(Exception):
-    """Retry policy exhausted without a positive definite shift."""
+    """No positive definite shift within the retry policy, or a float64 overflow."""
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,13 @@ def multipliers_from_rowsums(q, margin: float = 0.0) -> np.ndarray:
     return np.abs(q).sum(axis=1) + margin
 
 
+def _finite(cfg: GenConfig, name: str, values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise GenerationFailed(f"{name} overflows float64 at n={cfg.n}, base={cfg.base!r}")
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     """Generate one instance together with its planted certificate.
 
@@ -109,24 +116,24 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     100 redraws the multipliers of the final draw are bumped by 1, which
     makes the integer shift strictly dominant.  The shifted matrix that
     passed the factorization also yields the linear term ``c = (Q +
-    diag(lam)) x``.
+    diag(lam)) x``.  A draw whose Q, lam or c is not finite (a ``base``
+    too large for float64) raises :class:`GenerationFailed`.
     """
     margin = float(round_half_away(cfg.margin))
     streams = np.random.SeedSequence(cfg.seed).spawn(_MAX_REDRAWS + 1)
-    last = None
     for stream in streams:
         rng = np.random.Generator(np.random.PCG64(stream))
         gauss = rng.standard_normal((cfg.n, cfg.n))
-        q = round_half_away(cfg.base * (gauss + gauss.T) / 2.0)
+        q = _finite(cfg, "Q", round_half_away(cfg.base * (gauss + gauss.T) / 2.0))
         x = 2.0 * rng.integers(0, 2, size=cfg.n) - 1.0
-        lam = multipliers_from_rowsums(q, margin)
+        lam = _finite(cfg, "lambda", multipliers_from_rowsums(q, margin))
         shifted = q_of_lambda(q, lam)
         try:
             spd_factorize(shifted)
         except NotPositiveDefinite:
             last = (q, x, lam)
             continue
-        return BqpInstance(q, shifted @ x), Certificate(x=x, lam=lam)
+        return BqpInstance(q, _finite(cfg, "c", shifted @ x)), Certificate(x=x, lam=lam)
 
     q, x, lam = last
     lam = lam + 1.0
@@ -137,4 +144,4 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
         raise GenerationFailed(
             f"no positive definite shift after {_MAX_REDRAWS} redraws and a margin bump"
         ) from exc
-    return BqpInstance(q, shifted @ x), Certificate(x=x, lam=lam)
+    return BqpInstance(q, _finite(cfg, "c", shifted @ x)), Certificate(x=x, lam=lam)

@@ -1,11 +1,11 @@
 """Dense symmetric linear algebra kernel.
 
 Everything else in the package funnels its matrix work through here:
-Cholesky factorization as the positive-definiteness witness (one LAPACK
-``dpotrf`` call), solves against the factor (one LAPACK ``dpotrs``
-call), and an iterative extremal-eigenvalue estimate for semidefiniteness
-checks.  Matrices are plain float64 numpy arrays; symmetry is validated
-exactly (entrywise equality) at every entry point.
+Cholesky factorization as the only positive-definiteness witness (one
+LAPACK ``dpotrf`` call), solves against the factor (one LAPACK
+``dpotrs`` call), and the smallest eigenvalue of a symmetric matrix (one
+dense ``eigvalsh``).  Matrices are plain float64 numpy arrays; symmetry
+is validated exactly (entrywise equality) at every entry point.
 
 LAPACK comes from scipy's compiled f2py wrappers, the same objects that
 ``scipy.linalg.lapack`` exposes.  Their extension module
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -75,11 +74,6 @@ class NotPositiveDefinite(Exception):
     def __init__(self, pivot: int):
         super().__init__(f"not positive definite (pivot {pivot} failed)")
         self.pivot = pivot
-
-
-class NoConvergence(Exception):
-    """The eigenvalue estimate failed: a LAPACK tridiagonal eigensolver
-    reported an error, or no fresh start vector extended the basis."""
 
 
 def require_symmetric(a) -> np.ndarray:
@@ -150,96 +144,6 @@ def spd_solve(factor: SpdFactor, b) -> np.ndarray:
     return x
 
 
-def _largest_ritz_pair(alphas, betas) -> tuple[float, float]:
-    """Largest eigenvalue of the k×k tridiagonal (``alphas``, ``betas``), k ≥ 2,
-    and the last entry of its eigenvector.
-
-    The two LAPACK calls ``scipy.linalg.eigh_tridiagonal(select="i")``
-    makes: ``dstebz`` bisects for the k-th eigenvalue, ``dstein`` runs
-    inverse iteration for its vector.
-    """
-    k = len(alphas)
-    m, ritz, block, split, info = _flapack.dstebz(alphas, betas, 2, 0.0, 0.0, k, k, 0.0, "B")
-    if info != 0 or m != 1:
-        raise NoConvergence(f"dstebz failed (info {info}, {m} values)")
-    ritz_vecs, info = _flapack.dstein(alphas, betas, ritz[:m], block, split)
-    if info != 0:
-        raise NoConvergence(f"dstein failed (info {info})")
-    return float(ritz[0]), float(ritz_vecs[-1, 0])
-
-
 def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a symmetric matrix.
-
-    Runs Lanczos with full reorthogonalization on the Gershgorin-shifted
-    matrix ``s*I - A`` (positive semidefinite by construction), so only
-    the extreme eigenvalue is computed; a full spectral decomposition is
-    wasteful at large dimensions.  Converged when the Ritz residual and
-    the Ritz value stagnate below ``1e-10 * (1 + ||A||_inf)``.  Exact
-    breakdown starts a fresh orthogonal block, so exhausting all n basis
-    vectors yields the exact extreme eigenvalue; the matrix is PSD iff
-    the result is >= -1e-8 * (1 + ||A||_inf).
-    """
-    a = require_symmetric(a)
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-
-    norm = float(np.abs(a).sum(axis=1).max())
-    conv_tol = 1e-10 * (1.0 + norm)
-    breakdown_tol = 1e-13 * (1.0 + norm)
-    # Row-sum (Gershgorin) upper bound on the largest eigenvalue.
-    shift = float((a.diagonal() + np.abs(a).sum(axis=1) - np.abs(a.diagonal())).max())
-
-    rng = np.random.default_rng(0x5A2C6E1)
-    basis = np.zeros((n, n))
-    total = 0
-    best = -math.inf
-    dead_starts = 0
-
-    while total < n:
-        # Fresh start vector orthogonal to everything retained so far.
-        v = rng.standard_normal(n)
-        v -= basis[:, :total] @ (basis[:, :total].T @ v)
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-8:
-            dead_starts += 1
-            if dead_starts > 20:
-                raise NoConvergence("could not extend the orthonormal basis")
-            continue
-        v /= nv
-
-        alphas: list[float] = []
-        betas: list[float] = []
-        block_start = total
-        prev_theta = None
-        while True:
-            basis[:, total] = v
-            total += 1
-            w = shift * v - a @ v
-            alphas.append(float(v @ w))
-            # Full reorthogonalization keeps the basis numerically orthonormal.
-            w -= basis[:, :total] @ (basis[:, :total].T @ w)
-            w -= basis[:, :total] @ (basis[:, :total].T @ w)
-            beta = float(np.linalg.norm(w))
-
-            k = total - block_start
-            if k == 1:
-                theta, tail = alphas[0], 1.0
-            else:
-                theta, tail = _largest_ritz_pair(alphas, betas)
-
-            if beta <= breakdown_tol or total == n:
-                # Invariant subspace (or full span): the block's Ritz max is exact.
-                best = max(best, theta)
-                break
-            residual = beta * abs(tail)
-            if residual <= conv_tol and prev_theta is not None and abs(theta - prev_theta) <= conv_tol:
-                return shift - max(best, theta)
-            prev_theta = theta
-            betas.append(beta)
-            v = w / beta
-
-    # Every block closed on an invariant subspace and the blocks span the
-    # whole space, so the accumulated maximum is exact.
-    return shift - best
+    """Smallest eigenvalue of a symmetric matrix (``numpy.linalg.eigvalsh``)."""
+    return float(np.linalg.eigvalsh(require_symmetric(a))[0])

@@ -5,21 +5,20 @@ matrix is positive definite, ``(Q + diag(lam)) x = c``, and ``x`` is a
 sign vector; those conditions force the primal-dual gap to zero.  The
 same inverse condition can be phrased as positive semidefiniteness of the
 bordered block ``[[Q+diag(lam), c], [c', t]]`` for ``t`` at least
-``c'(Q+diag(lam))^-1 c``, which this module checks spectrally as an
-independent route.
+``c'(Q+diag(lam))^-1 c``, which this module decides through the block's
+Schur complement with the same Cholesky witness as the certificate check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import inf, nan
+from math import inf, isfinite, nan
 
 import numpy as np
 
 from .generator import Certificate
 from .model import BqpInstance, as_vector, dual_value, is_dual_feasible, objective_value
-from .numerics import min_eigenvalue
 
 
 @dataclass
@@ -89,21 +88,19 @@ def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) 
 
 
 def schur_block_psd(inst: BqpInstance, lam, t: float) -> tuple[bool, float]:
-    """Spectral PSD test of the bordered block ``[[Q + diag(lam), c], [c', t]]``;
-    returns (is_psd, min_eig).
+    """PSD test of the bordered block ``[[Q + diag(lam), c], [c', t]]``;
+    returns (is_psd, schur) with ``schur = t - c'(Q + diag(lam))^-1 c``.
 
-    When the shifted matrix is positive definite this agrees with the
-    closed-form condition ``t >= c'(Q + diag(lam))^-1 c`` up to the
-    eigenvalue tolerance ``1e-8 * (1 + ||block||_inf)``.
+    With a positive definite shift the block is PSD iff ``schur >= 0``;
+    the test accepts ``schur >= -1e-8 * (1 + |t|)``.  One factorization
+    (:func:`is_dual_feasible`) gives ``x(lam)``; the block is never formed.
+    A shift that fails ``spd_factorize``'s pivot rule gives ``(False,
+    nan)``: a certificate needs PD, so a singular PSD shift is not PSD here.
     """
-    n = inst.n
-    lam = as_vector(lam, n)
-    block = np.empty((n + 1, n + 1))
-    block[:n, :n] = inst.q
-    block.flat[: n * (n + 2) : n + 2] += lam
-    block[:n, n] = inst.c
-    block[n, :n] = inst.c
-    block[n, n] = t
-    low = min_eigenvalue(block)
-    tol = 1e-8 * (1.0 + float(np.abs(block).sum(axis=1).max()))
-    return bool(low >= -tol), low
+    if not isfinite(t):
+        raise ValueError("t must be finite")
+    state = is_dual_feasible(inst, lam)
+    if not state.feasible:
+        return False, nan
+    schur = t - float(inst.c @ state.x_of_lambda)
+    return bool(schur >= -1e-8 * (1.0 + abs(t))), schur

@@ -43,6 +43,14 @@ class TestGen:
         proc = run_cli("gen", "-n", "2", "-o", str(tmp_path / "no" / "dir" / "a.bqp"))
         assert proc.returncode == 3
 
+    def test_overflowing_base_fails_without_a_file(self, tmp_path):
+        out = tmp_path / "a.bqp"
+        proc = run_cli("gen", "-n", "50", "--base", "1e307", "-o", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == "generation failed: lambda overflows float64 at n=50, base=1e+307\n"
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_certificate_omitted_by_default(self, tmp_path):
         out = tmp_path / "b.bqp"
         proc = run_cli("gen", "-n", "10", "--seed", "1", "-o", str(out))

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import golden_data as gold
 from bqpbench import (
     GenConfig,
+    GenerationFailed,
     NotPositiveDefinite,
     brute_force_minimize,
     dual_gradient,
@@ -153,3 +156,11 @@ class TestRetryPolicy:
 def test_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match="finite"):
         GenConfig(n=3, **{field: value})
+
+
+@pytest.mark.parametrize("n,base,name", [(2, 1e308, "Q"), (50, 1e307, "lambda"), (50, 5e306, "c")])
+def test_overflowing_base_fails_cleanly(n, base, name):
+    # No overflow warning escapes (warnings are errors here); the failure names n and base.
+    message = f"{name} overflows float64 at n={n}, base={base!r}"
+    with pytest.raises(GenerationFailed, match=f"^{re.escape(message)}$"):
+        generate_instance(GenConfig(n=n, base=base))

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ import scipy.linalg
 import golden_data as gold
 from bqpbench import (
     DimensionMismatch,
-    NoConvergence,
     NotPositiveDefinite,
     min_eigenvalue,
     numerics,
@@ -19,7 +17,7 @@ from bqpbench import (
     spd_solve,
 )
 
-LAPACK_ROUTINES = ("dpotrf", "dpotrs", "dstebz", "dstein")
+LAPACK_ROUTINES = ("dpotrf", "dpotrs")
 
 
 def shifted_example1():
@@ -214,33 +212,6 @@ class TestMinEigenvalue:
 
     def test_repeated_eigenvalues_exact(self):
         assert min_eigenvalue(np.diag([4.0, 4.0, 4.0, 9.0])) == pytest.approx(4.0, abs=1e-10)
-
-
-class TestLargestRitzPair:
-    def test_bitwise_equal_to_eigh_tridiagonal(self):
-        # eigh_tridiagonal(select="i") makes the same two LAPACK calls behind its checks.
-        rng = np.random.default_rng(29)
-        for k in range(2, 61):
-            for _ in range(3):
-                alphas = rng.standard_normal(k).tolist()
-                betas = rng.uniform(0.0, 2.0, k - 1).tolist()
-                vals, vecs = scipy.linalg.eigh_tridiagonal(
-                    alphas, betas, select="i", select_range=(k - 1, k - 1)
-                )
-                theta, tail = numerics._largest_ritz_pair(alphas, betas)
-                assert theta == float(vals[0])
-                assert tail == float(vecs[-1, 0])
-
-    @pytest.mark.parametrize("stebz,stein", [
-        ((0, np.zeros(3), None, None, 0), None),
-        ((1, np.zeros(3), None, None, 2), None),
-        ((1, np.zeros(3), None, None, 0), (np.zeros((3, 1)), 1)),
-    ])
-    def test_lapack_failure_raises_no_convergence(self, monkeypatch, stebz, stein):
-        fake = SimpleNamespace(dstebz=lambda *args: stebz, dstein=lambda *args: stein)
-        monkeypatch.setattr(numerics, "_flapack", fake)
-        with pytest.raises(NoConvergence):
-            numerics._largest_ritz_pair([1.0, 2.0, 3.0], [0.5, 0.5])
 
 
 def run_fresh(code: str) -> str:

@@ -89,19 +89,75 @@ class TestDualityGap:
         assert objective_value(inst, [1.0]) == -1.0
 
 
-class TestSchurBlock:
-    def test_block_layout(self, example1, monkeypatch):
-        import bqpbench.verify as verify_module
+def explicit_block(inst, lam, t):
+    n = inst.n
+    block = np.empty((n + 1, n + 1))
+    block[:n, :n] = q_of_lambda(inst.q, lam)
+    block[:n, n] = block[n, :n] = inst.c
+    block[n, n] = t
+    return block
 
-        blocks = []
-        real = verify_module.min_eigenvalue
-        monkeypatch.setattr(verify_module, "min_eigenvalue", lambda a: blocks.append(a) or real(a))
-        schur_block_psd(example1, gold.LAMBDA1_INT, 7.0)
-        (block,) = blocks
-        np.testing.assert_array_equal(block[:5, :5], q_of_lambda(gold.Q1, gold.LAMBDA1_INT))
-        np.testing.assert_array_equal(block[:5, 5], gold.C1)
-        np.testing.assert_array_equal(block[5, :5], gold.C1)
-        assert block[5, 5] == 7.0
+
+@pytest.fixture(scope="module", params=[300, 1000])
+def solved_row_sum(request):
+    inst, _ = generate_instance(GenConfig(n=request.param, seed=7))
+    report = solve_dual(inst)
+    return inst, report.lam, float(inst.c @ report.x_raw)
+
+
+class TestSchurBlock:
+    def test_decision_matches_explicit_block_spectrum(self, example1):
+        # Reference: the smallest eigenvalue of the (n+1)x(n+1) block, on
+        # instances small enough that its tolerance sees a unit deficit;
+        # planted multipliers and interior ones, where x(lam) is not a sign vector.
+        rng = np.random.default_rng(71)
+        cases = [(example1, gold.LAMBDA1_INT)]
+        for seed in range(4):
+            inst, cert = generate_instance(GenConfig(n=3 + seed, seed=seed))
+            cases += [(inst, cert.lam), (inst, cert.lam + rng.uniform(0.5, 5.0, inst.n))]
+        decisions = set()
+        for inst, lam in cases:
+            threshold = float(inst.c @ np.linalg.solve(q_of_lambda(inst.q, lam), inst.c))
+            for delta in (-10.0, -1.0, 1.0, 10.0):
+                block = explicit_block(inst, lam, threshold + delta)
+                tol = 1e-8 * (1.0 + np.abs(block).sum(axis=1).max())
+                is_psd, schur = schur_block_psd(inst, lam, threshold + delta)
+                assert is_psd == bool(np.linalg.eigvalsh(block)[0] >= -tol)
+                assert schur == pytest.approx(delta, abs=1e-9 * (1.0 + abs(threshold)))
+                decisions.add(is_psd)
+        assert decisions == {True, False}
+
+    def test_shift_not_positive_definite(self, example1):
+        is_psd, schur = schur_block_psd(example1, np.zeros(5), 1e6)
+        assert not is_psd and math.isnan(schur)
+
+    def test_singular_psd_shift_reported_not_psd(self):
+        # [[1, 1, 1], [1, 1, 1], [1, 1, t]] is PSD for t >= 1, but the
+        # shift [[1, 1], [1, 1]] is singular, so no certificate exists.
+        inst = BqpInstance([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0])
+        is_psd, schur = schur_block_psd(inst, [0.0, 0.0], 5.0)
+        assert not is_psd and math.isnan(schur)
+
+    def test_non_finite_t_rejected(self, example1):
+        with pytest.raises(ValueError, match="finite"):
+            schur_block_psd(example1, gold.LAMBDA1_INT, math.inf)
+
+    @pytest.mark.parametrize("delta", [-10.0, -1.0])
+    def test_schur_deficit_rejected_at_scale(self, solved_row_sum, delta):
+        # With the solver's lam the Schur complement of t = c'x(lam) + delta
+        # is delta itself; a spectral test of the bordered block misses
+        # these deficits, whose eigenvalue is about delta / (n + 1).
+        inst, lam, ctx = solved_row_sum
+        is_psd, schur = schur_block_psd(inst, lam, ctx + delta)
+        assert not is_psd
+        assert schur == pytest.approx(delta, abs=1e-6)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_threshold_and_above_accepted_at_scale(self, solved_row_sum, delta):
+        inst, lam, ctx = solved_row_sum
+        is_psd, schur = schur_block_psd(inst, lam, ctx + delta)
+        assert is_psd
+        assert schur == pytest.approx(delta, abs=1e-6)
 
     def test_example1_threshold(self, example1):
         is_psd, low = schur_block_psd(example1, gold.LAMBDA1_INT, gold.CTX1)
@@ -176,7 +232,7 @@ def test_owned_matrices_are_validated_once(monkeypatch):
     calls.clear()
     is_psd, _ = schur_block_psd(inst, cert.lam, float(inst.c @ cert.x) + 1.0)
     assert is_psd
-    assert len(calls) == 1  # min_eigenvalue of the bordered block
+    assert len(calls) == 1  # spd_factorize of the shifted matrix
 
 
 def test_infinite_tolerance_is_rejected(example1, example1_cert):
