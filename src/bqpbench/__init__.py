@@ -7,12 +7,10 @@ Newton method, and verify zero-duality-gap optimality certificates.
 
 from .dual_solver import (
     NoFeasibleStart,
-    NotBoolean,
     SolveOptions,
     SolveReport,
     SolveStatus,
     initial_point,
-    round_to_signs,
     solve_dual,
 )
 from .fileio import (
@@ -28,7 +26,6 @@ from .generator import (
     GenConfig,
     GenerationFailed,
     generate_instance,
-    multipliers_from_rowsums,
 )
 from .model import (
     BqpInstance,
@@ -66,7 +63,6 @@ __all__ = [
     "Infeasible",
     "InstanceFile",
     "NoFeasibleStart",
-    "NotBoolean",
     "NotPositiveDefinite",
     "OracleResult",
     "ParseError",
@@ -85,11 +81,9 @@ __all__ = [
     "is_dual_feasible",
     "lagrangian_value",
     "min_eigenvalue",
-    "multipliers_from_rowsums",
     "objective_value",
     "parse_instance",
     "q_of_lambda",
-    "round_to_signs",
     "schur_block_psd",
     "serialize_instance",
     "solve_dual",

@@ -10,8 +10,9 @@ product.  When some ``|x_i(lam)|`` falls below ``1e-3`` that formula
 divides by near-zeros (and ``-H`` is singular at an exact zero), so the
 solver steps along the gradient instead; it never forms a matrix other
 than ``Q + diag(lam)``.  At a stationary point the solved vector
-``x(lam)`` has unit entries; rounding it to signs and checking the
-primal-dual gap yields (or refuses) a global-optimality certificate.
+``x(lam)`` has unit entries; its rounding to signs is certified globally
+optimal by :func:`verify.check_certificate` on the final dual state, the
+rule that checks stored certificates too.
 """
 
 from __future__ import annotations
@@ -30,27 +31,19 @@ from .model import (
     is_dual_feasible,
     objective_value,
 )
+from .verify import check_certificate
 
 _MAX_BACKTRACKS = 60
 _BACKTRACK_FACTOR = 0.5
 _ARMIJO_COEFF = 1e-4
 _SIGN_TOL = 1e-4
 _MAX_SHIFT_DOUBLINGS = 60
-_GAP_REL_TOL = 1e-6
 # Below this min |x_i(lam)| the closed-form step divides by near-zeros.
 _CLOSED_FORM_MIN_X = 1e-3
 
 
 class NoFeasibleStart(Exception):
     """No positive definite shift found while doubling the start offset."""
-
-
-class NotBoolean(Exception):
-    """Solved coordinates too far from +/-1 to round; carries the offenders."""
-
-    def __init__(self, indices):
-        self.indices = tuple(int(i) for i in indices)
-        super().__init__(f"entries not within tolerance of +/-1 at indices {self.indices}")
 
 
 class SolveStatus(str, Enum):
@@ -107,9 +100,13 @@ def initial_point(inst: BqpInstance) -> DualState:
 
     That shift is strictly diagonally dominant with positive diagonal,
     hence positive definite; if factorization still fails (overflow-scale
-    data) the offset doubles up to 60 times before giving up.
+    data) the offset doubles up to 60 times before giving up.  Row sums
+    that overflow float64 raise :class:`NoFeasibleStart` at once.
     """
-    rowsums = np.abs(inst.q).sum(axis=1)
+    with np.errstate(over="ignore"):
+        rowsums = np.abs(inst.q).sum(axis=1)
+    if not np.isfinite(rowsums).all():
+        raise NoFeasibleStart("absolute row sums of Q overflow float64")
     shift = 1.0
     for _ in range(_MAX_SHIFT_DOUBLINGS):
         state = is_dual_feasible(inst, rowsums + shift)
@@ -117,22 +114,6 @@ def initial_point(inst: BqpInstance) -> DualState:
             return state
         shift *= 2.0
     raise NoFeasibleStart("could not find a positive definite start shift")
-
-
-def round_to_signs(x_raw, sign_tol: float) -> np.ndarray:
-    """Round near-unit coordinates to exact signs.
-
-    Every ``|x_raw[i]|`` must be within ``sign_tol`` of 1; anything else
-    (in particular a coordinate near 0) raises :class:`NotBoolean` with
-    the offending indices rather than guessing a sign.
-    """
-    if not 0.0 < sign_tol < 0.5:
-        raise ValueError("sign_tol must lie in (0, 0.5)")
-    x_raw = np.asarray(x_raw, dtype=float)
-    bad = np.nonzero(np.abs(np.abs(x_raw) - 1.0) > sign_tol)[0]
-    if bad.size:
-        raise NotBoolean(bad)
-    return np.sign(x_raw)
 
 
 def _ascent_direction(inst: BqpInstance, state: DualState, grad: np.ndarray) -> np.ndarray:
@@ -177,17 +158,19 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     stationary on its final iteration is still certified.  A failed
     Newton backtrack falls back to a plain gradient step; a failed
     gradient step ends the run.  At a stationary point the primal is
-    recovered from the cached solve and rounded; the report is Certified
-    only when rounding succeeds and the primal-dual gap is below
-    ``1e-6 * (1 + |primal|)``.
+    recovered from the cached solve and rounded (every entry within
+    ``_SIGN_TOL`` of +/-1, else ``x`` is None); the report is Certified
+    only when the rounding passes :func:`verify.check_certificate` on the
+    final state, which reuses its factorization.
     """
     opts = opts or SolveOptions()
     try:
         state = initial_point(inst)
     except NoFeasibleStart:
-        rowsums = np.abs(inst.q).sum(axis=1)
+        with np.errstate(over="ignore"):
+            lam = np.abs(inst.q).sum(axis=1) + 1.0
         return SolveReport(
-            lam=rowsums + 1.0, x=None, x_raw=None, primal_value=math.nan,
+            lam=lam, x=None, x_raw=None, primal_value=math.nan,
             dual_value=math.nan, gap=math.nan, iterations=0,
             status=SolveStatus.NO_FEASIBLE_START,
         )
@@ -210,18 +193,15 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
         trace.append(value)
 
     x_raw = state.x_of_lambda
-    x = None
-    primal = math.nan
-    gap = math.nan
-    status = SolveStatus.MAX_ITERATIONS
-    try:
-        x = round_to_signs(x_raw, _SIGN_TOL)
+    x = np.sign(x_raw) if np.abs(np.abs(x_raw) - 1.0).max() <= _SIGN_TOL else None
+    primal = gap = math.nan
+    certified = False
+    if x is not None:
         primal = objective_value(inst, x)
-        gap = primal - value
-    except NotBoolean:
-        x = None
+        check = check_certificate(inst, x, state)
+        gap, certified = check.gap, check.overall
+    status = SolveStatus.MAX_ITERATIONS
     if stationary:
-        certified = x is not None and abs(gap) <= _GAP_REL_TOL * (1.0 + abs(primal))
         status = SolveStatus.CERTIFIED if certified else SolveStatus.STATIONARY_NOT_BOOLEAN
     return SolveReport(
         lam=state.lam, x=x, x_raw=x_raw, primal_value=primal, dual_value=value,

@@ -65,7 +65,6 @@ class InstanceFile:
     instance: BqpInstance
     certificate: Certificate | None = None
     metadata: dict[str, str] = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def format_row(values) -> str:
 def serialize_instance(f: InstanceFile) -> str:
     """Render a file deterministically: fixed section order, one row per line."""
     inst = f.instance
-    lines = [f"bqp {f.version}", f"n {inst.n}", "Q"]
+    lines = [f"bqp {FORMAT_VERSION}", f"n {inst.n}", "Q"]
     lines.extend(format_row(row) for row in inst.q)
     lines.append("c")
     lines.append(format_row(inst.c))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BqpInstance, as_sign_vector, as_vector, q_of_lambda
-from .numerics import NotPositiveDefinite, require_symmetric, spd_factorize
+from .numerics import NotPositiveDefinite, spd_factorize
 
 _MAX_REDRAWS = 100
 
@@ -84,19 +84,6 @@ def round_half_away(values) -> np.ndarray:
     return np.copysign(np.floor(np.abs(values) + 0.5), values)
 
 
-def multipliers_from_rowsums(q, margin: float = 0.0) -> np.ndarray:
-    """Multipliers as absolute row sums of ``q`` (diagonal included) plus ``margin``.
-
-    Makes the shifted matrix diagonally dominant; dominance is only weak
-    when a diagonal entry is negative, which is why callers re-test
-    positive definiteness afterwards.
-    """
-    q = require_symmetric(q)
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    return np.abs(q).sum(axis=1) + margin
-
-
 def _finite(cfg: GenConfig, name: str, values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise GenerationFailed(f"{name} overflows float64 at n={cfg.n}, base={cfg.base!r}")
@@ -111,37 +98,36 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     normal variates come from numpy's ``standard_normal`` (ziggurat).
     Output is bitwise deterministic for a fixed seed.  Each attempt draws
     ``Q = round(base * (G + G') / 2)`` (halves away from zero) and a
-    uniform random sign vector; if the row-sum shift is not positive
-    definite the next attempt uses the next spawned stream, and after
-    100 redraws the multipliers of the final draw are bumped by 1, which
-    makes the integer shift strictly dominant.  The shifted matrix that
-    passed the factorization also yields the linear term ``c = (Q +
-    diag(lam)) x``.  A draw whose Q, lam or c is not finite (a ``base``
-    too large for float64) raises :class:`GenerationFailed`.
+    uniform random sign vector, and takes the multipliers as the absolute
+    row sums of ``Q`` (diagonal included) plus the margin.  That shift is
+    diagonally dominant, but only weakly where a diagonal entry is
+    negative, so each attempt tests it for positive definiteness: if it
+    fails, the next attempt uses the next spawned stream, and after 100
+    redraws one last attempt repeats the final draw with every multiplier
+    bumped by 1, which makes the integer shift strictly dominant.  The
+    shifted matrix that passed the factorization also yields the linear
+    term ``c = (Q + diag(lam)) x``.  A draw whose Q, lam or c is not finite
+    (a ``base`` too large for float64), or whose n x n matrix cannot be
+    allocated, raises :class:`GenerationFailed`.
     """
     margin = float(round_half_away(cfg.margin))
     streams = np.random.SeedSequence(cfg.seed).spawn(_MAX_REDRAWS + 1)
-    for stream in streams:
+    attempts = [(stream, 0.0) for stream in streams] + [(streams[-1], 1.0)]
+    for stream, bump in attempts:
         rng = np.random.Generator(np.random.PCG64(stream))
-        gauss = rng.standard_normal((cfg.n, cfg.n))
+        try:
+            gauss = rng.standard_normal((cfg.n, cfg.n))
+        except MemoryError as exc:
+            raise GenerationFailed(f"cannot allocate an n x n matrix at n={cfg.n}") from exc
         q = _finite(cfg, "Q", round_half_away(cfg.base * (gauss + gauss.T) / 2.0))
         x = 2.0 * rng.integers(0, 2, size=cfg.n) - 1.0
-        lam = _finite(cfg, "lambda", multipliers_from_rowsums(q, margin))
+        lam = _finite(cfg, "lambda", np.abs(q).sum(axis=1) + margin + bump)
         shifted = q_of_lambda(q, lam)
         try:
             spd_factorize(shifted)
         except NotPositiveDefinite:
-            last = (q, x, lam)
             continue
         return BqpInstance(q, _finite(cfg, "c", shifted @ x)), Certificate(x=x, lam=lam)
-
-    q, x, lam = last
-    lam = lam + 1.0
-    shifted = q_of_lambda(q, lam)
-    try:
-        spd_factorize(shifted)
-    except NotPositiveDefinite as exc:
-        raise GenerationFailed(
-            f"no positive definite shift after {_MAX_REDRAWS} redraws and a margin bump"
-        ) from exc
-    return BqpInstance(q, _finite(cfg, "c", shifted @ x)), Certificate(x=x, lam=lam)
+    raise GenerationFailed(
+        f"no positive definite shift after {_MAX_REDRAWS} redraws and a margin bump"
+    )

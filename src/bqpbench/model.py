@@ -133,14 +133,16 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     The shifted matrix is built straight from the validated ``inst.q``
     and factorized once; ``x(lam)`` is one solve against that factor.
     Infeasibility is a state, not an error: the returned object simply
-    carries ``feasible=False`` with no cached factor.
+    carries ``feasible=False`` with no cached factor.  A shifted diagonal
+    that overflows float64 is infeasible too.
     """
     lam = as_vector(lam, inst.n)
     shifted = inst.q.copy()
-    shifted.flat[:: inst.n + 1] += lam
     try:
+        with np.errstate(over="raise"):
+            shifted.reshape(-1)[:: inst.n + 1] += lam
         factor = spd_factorize(shifted)
-    except NotPositiveDefinite:
+    except (FloatingPointError, NotPositiveDefinite):
         return DualState(lam=lam, feasible=False, factor=None, x_of_lambda=None)
     return DualState(lam=lam, feasible=True, factor=factor, x_of_lambda=spd_solve(factor, inst.c))
 

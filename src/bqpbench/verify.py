@@ -2,7 +2,11 @@
 
 A certificate ``(x, lam)`` proves ``x`` globally optimal when the shifted
 matrix is positive definite, ``(Q + diag(lam)) x = c``, and ``x`` is a
-sign vector; those conditions force the primal-dual gap to zero.  The
+sign vector; those conditions force the primal-dual gap to zero.
+:func:`check_certificate` makes that decision on a dual state that is
+already factorized; :func:`verify_certificate` factorizes a stored
+certificate's shift and asks it, and the solver asks it on its final
+state, so both certify by the same rule.  The
 same inverse condition can be phrased as positive semidefiniteness of the
 bordered block ``[[Q+diag(lam), c], [c', t]]`` for ``t`` at least
 ``c'(Q+diag(lam))^-1 c``, which this module decides through the block's
@@ -18,7 +22,14 @@ from math import inf, isfinite, nan
 import numpy as np
 
 from .generator import Certificate
-from .model import BqpInstance, as_vector, dual_value, is_dual_feasible, objective_value
+from .model import (
+    BqpInstance,
+    DualState,
+    as_vector,
+    dual_value,
+    is_dual_feasible,
+    objective_value,
+)
 
 
 @dataclass
@@ -49,30 +60,31 @@ class VerifyReport:
         return f"Q inertia: {neg} negative, {zero} zero, {pos} positive"
 
 
-def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) -> VerifyReport:
-    """Check a certificate against its instance.
+def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6) -> VerifyReport:
+    """The four certificate checks of ``(x, state.lam)``, for a length-n
+    float vector ``x`` and a dual state that is already factorized (no
+    factorization here).
 
-    pd_ok: the shifted matrix factorizes; stationary_ok: the residual
-    ``(Q + diag(lam)) x - c`` has sup-norm at most ``tol * (1 + ||c||_inf)``;
-    boolean_ok: every entry of ``x`` is exactly +/-1; gap_ok: the
-    primal-dual gap is at most ``tol * (1 + |f(x)|)`` in magnitude.
+    pd_ok: ``state`` is feasible; stationary_ok: the residual
+    ``(Q + diag(lam)) x - c`` has sup-norm at most ``tol * (1 + ||c||_inf)``
+    (one that overflows fails); boolean_ok: every entry of ``x`` is exactly
+    +/-1; gap_ok: the primal-dual gap is at most ``tol * (1 + |f(x)|)`` in
+    magnitude.
     """
     if not 0 < tol < inf:
         raise ValueError("tol must be positive and finite")
-    x = as_vector(cert.x, inst.n)
-    lam = as_vector(cert.lam, inst.n)
-
-    state = is_dual_feasible(inst, lam)
     pd_ok = state.feasible
 
-    residual = inst.q @ x + lam * x - inst.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = inst.q @ x + state.lam * x - inst.c
     stationary_ok = bool(np.abs(residual).max() <= tol * (1.0 + np.abs(inst.c).max()))
 
     boolean_ok = bool((np.abs(x) == 1.0).all())
 
     if pd_ok and boolean_ok:
-        gap = objective_value(inst, x) - dual_value(state, inst)
-        gap_ok = bool(abs(gap) <= tol * (1.0 + abs(objective_value(inst, x))))
+        primal = objective_value(inst, x)
+        gap = primal - dual_value(state, inst)
+        gap_ok = bool(abs(gap) <= tol * (1.0 + abs(primal)))
     else:
         gap, gap_ok = nan, False
 
@@ -85,6 +97,13 @@ def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) 
         overall=pd_ok and stationary_ok and boolean_ok and gap_ok,
         q=inst.q,
     )
+
+
+def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) -> VerifyReport:
+    """Check a certificate against its instance: one factorization of the
+    shifted matrix, then :func:`check_certificate`."""
+    x = as_vector(cert.x, inst.n)
+    return check_certificate(inst, x, is_dual_feasible(inst, cert.lam), tol)
 
 
 def schur_block_psd(inst: BqpInstance, lam, t: float) -> tuple[bool, float]:

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -48,6 +49,16 @@ class TestGen:
         proc = run_cli("gen", "-n", "50", "--base", "1e307", "-o", str(out))
         assert proc.returncode == 1
         assert proc.stderr == "generation failed: lambda overflows float64 at n=50, base=1e+307\n"
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    def test_unallocatable_dimension_fails_without_a_file(self, tmp_path):
+        # The n x n draw needs 71.1 PiB, more than the address space, so
+        # numpy refuses it at once; no larger n may be tried here.
+        out = tmp_path / "a.bqp"
+        proc = run_cli("gen", "-n", "100000000", "-o", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == "generation failed: cannot allocate an n x n matrix at n=100000000\n"
         assert proc.stdout == ""
         assert not out.exists()
 
@@ -122,6 +133,14 @@ class TestSolve:
         assert proc.returncode == 0
         assert parsed_lines(proc.stdout)["status"] == "Certified"
 
+    def test_overflowing_row_sums_report_no_feasible_start(self, tmp_path):
+        path = tmp_path / "huge.bqp"
+        path.write_text("bqp 1\nn 2\nQ\n1e308 1e308\n1e308 1e308\nc\n1 1\n")
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert parsed_lines(proc.stdout)["status"] == "NoFeasibleStart"
+
     def test_invalid_max_iter(self):
         proc = run_cli("solve", str(FIXTURES / "example1.bqp"), "--max-iter", "0")
         assert proc.returncode == 2
@@ -162,6 +181,17 @@ class TestVerify:
         proc = run_cli("verify", str(tampered))
         assert proc.returncode == 1
         assert parsed_lines(proc.stdout)["stationary_ok"] == "false"
+
+
+    def test_overflowing_shift_is_not_positive_definite(self, tmp_path):
+        path = tmp_path / "huge.bqp"
+        path.write_text("bqp 1\nn 1\nQ\n1e308\nc\n1\nx\n1\nlambda\n1e308\n")
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        fields = parsed_lines(proc.stdout)
+        assert fields["pd_ok"] == "false" and fields["stationary_ok"] == "false"
+        assert fields["overall"] == "false"
 
 
 class TestOracle:
@@ -229,3 +259,31 @@ def test_help_exits_zero():
     assert proc.returncode == 0
     for sub in ("gen", "solve", "verify", "oracle", "bench"):
         assert sub in proc.stdout
+
+
+def readme_example():
+    """The command and output lines of the README's worked ``solve`` example."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n\$ (bqpbench solve .*?)\n(.*?)```", text, re.S)
+    return block.group(1).split()[1:], block.group(2).splitlines()
+
+
+def test_readme_worked_example_matches_the_cli():
+    # Text must match exactly; numbers within 1e-9 * (1 + |value|), because
+    # their last digits depend on the LAPACK build.
+    args, expected = readme_example()
+    proc = run_cli(*args, cwd=FIXTURES.parent)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    actual = proc.stdout.splitlines()
+    assert len(actual) == len(expected)
+    for got_line, want_line in zip(actual, expected):
+        got, want = got_line.split(), want_line.split()
+        assert len(got) == len(want), (got_line, want_line)
+        for g, w in zip(got, want):
+            try:
+                w_value = float(w)
+            except ValueError:
+                assert g == w, (got_line, want_line)
+                continue
+            assert abs(float(g) - w_value) <= 1e-9 * (1.0 + abs(w_value)), (got_line, want_line)

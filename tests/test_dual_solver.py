@@ -5,13 +5,12 @@ import golden_data as gold
 from bqpbench import (
     BqpInstance,
     GenConfig,
-    NotBoolean,
+    NoFeasibleStart,
     SolveOptions,
     SolveStatus,
     generate_instance,
     initial_point,
     is_dual_feasible,
-    round_to_signs,
     solve_dual,
     verify_certificate,
     Certificate,
@@ -35,26 +34,14 @@ class TestInitialPoint:
         state = initial_point(BqpInstance([[-5.0]], [1.0]))
         np.testing.assert_array_equal(state.lam, [6.0])
 
-
-class TestRoundToSigns:
-    def test_near_unit(self):
-        np.testing.assert_array_equal(round_to_signs([0.9999, -1.0001], 1e-3), [1.0, -1.0])
-
-    def test_rejects_off_unit(self):
-        with pytest.raises(NotBoolean) as exc:
-            round_to_signs([0.5, 1.0], 1e-3)
-        assert exc.value.indices == (0,)
-
-    def test_exact_signs_identity(self):
-        np.testing.assert_array_equal(round_to_signs([-1.0, 1.0, -1.0], 1e-4), [-1.0, 1.0, -1.0])
-
-    def test_near_zero_never_rounded(self):
-        with pytest.raises(NotBoolean):
-            round_to_signs([1e-9, 1.0], 1e-4)
-
-    def test_tolerance_range(self):
-        with pytest.raises(ValueError):
-            round_to_signs([1.0], 0.7)
+    def test_overflowing_row_sums(self):
+        # Row sums of 2e308 overflow float64; no warning may escape.
+        inst = BqpInstance(np.full((2, 2), 1e308), [1.0, 1.0])
+        with pytest.raises(NoFeasibleStart, match="overflow"):
+            initial_point(inst)
+        report = solve_dual(inst)
+        assert report.status is SolveStatus.NO_FEASIBLE_START
+        assert report.iterations == 0 and report.x is None
 
 
 class TestRecoverPrimal:
@@ -182,6 +169,58 @@ class TestSolveBehavior:
             SolveOptions(grad_tol=0.0)
         with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
+
+
+class TestCertification:
+    def test_certify_decision_comes_from_check_certificate(self, monkeypatch):
+        # The final state goes to check_certificate as is; its verdict, not
+        # a gap test of the solver's own, decides the status.
+        import bqpbench.dual_solver as ds
+        from bqpbench.verify import check_certificate
+
+        seen = []
+
+        def refusing(inst, x, state):
+            seen.append(state)
+            report = check_certificate(inst, x, state)
+            report.overall = False
+            return report
+
+        monkeypatch.setattr(ds, "check_certificate", refusing)
+        report = ds.solve_dual(BqpInstance(gold.Q1, gold.C1))
+        assert report.status is SolveStatus.STATIONARY_NOT_BOOLEAN
+        np.testing.assert_array_equal(report.x, gold.X1)
+        assert len(seen) == 1 and seen[0].lam is report.lam and seen[0].feasible
+        assert report.gap == check_certificate(BqpInstance(gold.Q1, gold.C1), report.x, seen[0]).gap
+
+    def test_rounding_gives_exact_signs(self):
+        # x(lam) is near, not at, the signs; the reported x is exactly them.
+        inst, cert = generate_instance(GenConfig(n=40, seed=4))
+        report = solve_dual(inst)
+        assert report.status is SolveStatus.CERTIFIED
+        assert not (np.abs(report.x_raw) == 1.0).all()
+        np.testing.assert_array_equal(report.x, np.sign(report.x_raw))
+        np.testing.assert_array_equal(report.x, cert.x)
+
+    @pytest.mark.parametrize("make,count", [
+        (lambda: BqpInstance(gold.Q1, gold.C1), 5),
+        (lambda: BqpInstance(gold.Q2, gold.C2), 4),
+        (lambda: BqpInstance(gold.Q3, gold.C3), 4),
+        (lambda: generate_instance(GenConfig(n=12, seed=9))[0], 4),
+        (lambda: generate_instance(GenConfig(n=50, seed=0))[0], 3),
+        (lambda: generate_instance(GenConfig(n=200, seed=1))[0], 3),
+    ])
+    def test_factorizations_per_solve(self, monkeypatch, make, count):
+        # The start point plus one per trial point; certifying adds none.
+        import bqpbench.model
+
+        inst = make()
+        calls = []
+        real = bqpbench.model.spd_factorize
+        monkeypatch.setattr(bqpbench.model, "spd_factorize", lambda a: calls.append(1) or real(a))
+        report = solve_dual(inst)
+        assert report.status is SolveStatus.CERTIFIED
+        assert len(calls) == count
 
 
 class TestNewtonDirection:

@@ -12,7 +12,6 @@ from bqpbench import (
     dual_gradient,
     generate_instance,
     is_dual_feasible,
-    multipliers_from_rowsums,
     objective_value,
     q_of_lambda,
     spd_factorize,
@@ -22,24 +21,28 @@ from bqpbench import (
 
 class TestRowSumMultipliers:
     def test_example1(self):
-        np.testing.assert_array_equal(multipliers_from_rowsums(gold.Q1), gold.LAMBDA1_INT)
+        # The bundled example's multipliers are its absolute row sums.
+        np.testing.assert_array_equal(np.abs(gold.Q1).sum(axis=1), gold.LAMBDA1_INT)
 
     def test_zero_matrix_with_margin(self):
-        np.testing.assert_array_equal(multipliers_from_rowsums(np.zeros((2, 2)), 1.0), [1.0, 1.0])
+        # So small a base rounds every entry of Q to zero: lam is the margin.
+        inst, cert = generate_instance(GenConfig(n=2, base=1e-3, margin=1.0))
+        np.testing.assert_array_equal(inst.q, np.zeros((2, 2)))
+        np.testing.assert_array_equal(cert.lam, [1.0, 1.0])
 
     def test_weak_dominance_boundary(self):
         # Zero diagonal: the shift lands exactly on the dominance boundary
         # and the shifted matrix is singular, hence the post-check on
         # generation.
         q = np.array([[0.0, 1.0], [1.0, 0.0]])
-        lam = multipliers_from_rowsums(q)
+        lam = np.abs(q).sum(axis=1)
         np.testing.assert_array_equal(lam, [1.0, 1.0])
         with pytest.raises(NotPositiveDefinite):
             spd_factorize(q_of_lambda(q, lam))
 
     def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            multipliers_from_rowsums(np.eye(2), -0.5)
+        with pytest.raises(ValueError, match="margin"):
+            GenConfig(n=2, margin=-0.5)
 
 
 class TestPlantedRhs:
@@ -164,3 +167,10 @@ def test_overflowing_base_fails_cleanly(n, base, name):
     message = f"{name} overflows float64 at n={n}, base={base!r}"
     with pytest.raises(GenerationFailed, match=f"^{re.escape(message)}$"):
         generate_instance(GenConfig(n=n, base=base))
+
+
+def test_unallocatable_dimension_fails_cleanly():
+    # 71.1 PiB exceeds the address space, so numpy refuses the draw without
+    # touching memory; never try a size the machine could start to allocate.
+    with pytest.raises(GenerationFailed, match=r"n=100000000\b"):
+        generate_instance(GenConfig(n=10**8))

@@ -181,6 +181,13 @@ class TestFeasibility:
         inst = BqpInstance(np.zeros((2, 2)), [1.0, 0.0])
         assert is_dual_feasible(inst, np.ones(2)).feasible
 
+    def test_overflowing_shift_is_infeasible(self):
+        # 1e308 + 1e308 overflows: an infeasible state, not a warning or a
+        # ValueError from the factorization's input check.
+        state = is_dual_feasible(BqpInstance([[1e308]], [1.0]), [1e308])
+        assert state.feasible is False
+        assert state.factor is None and state.x_of_lambda is None
+
 
 class TestWeakDuality:
     def test_dual_never_exceeds_primal(self):

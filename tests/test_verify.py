@@ -22,6 +22,7 @@ from bqpbench import (
     q_of_lambda,
     verify_certificate,
 )
+from bqpbench.verify import check_certificate
 
 
 @pytest.fixture
@@ -79,6 +80,42 @@ class TestVerifyCertificate:
     def test_tolerance_must_be_positive(self, example1, example1_cert):
         with pytest.raises(ValueError):
             verify_certificate(example1, example1_cert, tol=0.0)
+
+
+class TestCheckCertificate:
+    def test_agrees_with_verify_certificate(self, example1, example1_cert):
+        flipped = example1_cert.x.copy()
+        flipped[0] = -flipped[0]
+        for cert in (example1_cert, Certificate(x=example1_cert.x, lam=example1_cert.lam + 5.0),
+                     Certificate(x=flipped, lam=example1_cert.lam),
+                     Certificate(x=example1_cert.x, lam=np.zeros(5))):
+            state = is_dual_feasible(example1, cert.lam)
+            # repr covers every field but q; it also compares NaN gaps.
+            assert repr(check_certificate(example1, cert.x, state)) == repr(verify_certificate(example1, cert))
+
+    def test_makes_no_factorization(self, example1, example1_cert, monkeypatch):
+        import bqpbench.model as model_module
+
+        state = is_dual_feasible(example1, example1_cert.lam)
+        monkeypatch.setattr(model_module, "spd_factorize", None)
+        assert check_certificate(example1, example1_cert.x, state).overall
+
+    def test_non_sign_entries_fail_boolean(self, example1, example1_cert):
+        state = is_dual_feasible(example1, example1_cert.lam)
+        report = check_certificate(example1, example1_cert.x * 0.99999, state)
+        assert not report.boolean_ok and not report.overall
+        assert math.isnan(report.gap)
+
+    def test_overflowing_shift_and_residual(self):
+        # Q + diag(lam) = 2e308 overflows: pd_ok and stationary_ok are
+        # false, with no warning (warnings are errors here).
+        inst = BqpInstance([[1e308]], [1.0])
+        report = check_certificate(inst, np.ones(1), is_dual_feasible(inst, [1e308]))
+        assert not report.pd_ok and not report.stationary_ok and report.boolean_ok
+        assert not report.overall and math.isnan(report.gap)
+        assert repr(verify_certificate(inst, Certificate(x=[1.0], lam=[1e308]))) == repr(report)
+        is_psd, schur = schur_block_psd(inst, [1e308], 0.0)
+        assert is_psd is False and math.isnan(schur)
 
 
 class TestDualityGap:
@@ -214,18 +251,18 @@ class TestZeroGapIdentityChain:
 
 def test_owned_matrices_are_validated_once(monkeypatch):
     # One symmetry check per matrix that enters from outside or is built by
-    # the caller; none for Q+diag(lam) rebuilt from an instance's own q.
-    import bqpbench.generator as generator_module
+    # the caller; Q+diag(lam) rebuilt from an instance's own q is checked
+    # only inside spd_factorize.
     import bqpbench.model as model_module
     import bqpbench.numerics as numerics_module
 
     calls = []
     real = numerics_module.require_symmetric
-    for module in (numerics_module, model_module, generator_module):
+    for module in (numerics_module, model_module):
         monkeypatch.setattr(module, "require_symmetric", lambda a: calls.append(1) or real(a))
 
     inst, cert = generate_instance(GenConfig(n=30, seed=0))
-    assert len(calls) == 4  # row sums, q_of_lambda, spd_factorize, BqpInstance
+    assert len(calls) == 3  # q_of_lambda, spd_factorize, BqpInstance
     calls.clear()
     assert verify_certificate(inst, cert).overall
     assert len(calls) == 1  # spd_factorize of the shifted matrix
