@@ -35,7 +35,6 @@ from .model import (
     dual_hessian,
     dual_value,
     is_dual_feasible,
-    lagrangian_value,
     objective_value,
     q_of_lambda,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "generate_instance",
     "initial_point",
     "is_dual_feasible",
-    "lagrangian_value",
     "min_eigenvalue",
     "objective_value",
     "parse_instance",

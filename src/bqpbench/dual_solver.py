@@ -9,10 +9,12 @@ the negated Hessian is ``X (Q + diag(lam))^-1 X``, so the step solving
 product.  When some ``|x_i(lam)|`` falls below ``1e-3`` that formula
 divides by near-zeros (and ``-H`` is singular at an exact zero), so the
 solver steps along the gradient instead; it never forms a matrix other
-than ``Q + diag(lam)``.  At a stationary point the solved vector
-``x(lam)`` has unit entries; its rounding to signs is certified globally
-optimal by :func:`verify.check_certificate` on the final dual state, the
-rule that checks stored certificates too.
+than ``Q + diag(lam)``.  The ascent stops at a stationary point, at the
+iteration budget, or at a step that leaves ``lam`` bitwise unchanged,
+which every later iteration would repeat.  At a stationary point the
+solved vector ``x(lam)`` has unit entries; its rounding to signs is
+certified globally optimal by :func:`verify.check_certificate` on the
+final dual state, the rule that checks stored certificates too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .model import (
     dual_gradient,
     dual_value,
     is_dual_feasible,
-    objective_value,
 )
 from .verify import check_certificate
 
@@ -79,9 +80,11 @@ class SolveReport:
     """Outcome of one dual maximization.
 
     ``x`` is the rounded sign vector when rounding succeeded, else None;
-    ``x_raw`` is the pre-rounding solve ``x(lam)``.  ``gap`` is primal
-    minus dual (NaN when no primal value exists).  ``dual_trace`` holds
-    the dual value at the start plus after every accepted step.
+    ``x_raw`` is the pre-rounding solve ``x(lam)``.  ``primal_value``
+    and ``gap`` (primal minus dual) come from the certificate check and
+    are NaN when ``x`` is None.  ``iterations`` counts the steps that
+    moved ``lam``; ``dual_trace`` holds the dual value at the start plus
+    after each of them.
     """
 
     lam: np.ndarray
@@ -132,8 +135,9 @@ def _ascent_direction(inst: BqpInstance, state: DualState, grad: np.ndarray) -> 
 def _backtrack(inst, state, value, grad, direction):
     """Shrink the step until the trial point is feasible and Armijo holds.
 
-    Returns ``(accepted, state, value)``; at most 60 shrinks in total
-    across the feasibility and ascent phases.
+    Returns the accepted ``(state, value)``, or its input ``(state, value)``
+    when no trial passes within 60 shrinks in total across the feasibility
+    and ascent phases.
     """
     slope = float(grad @ direction)
     t = 1.0
@@ -143,9 +147,9 @@ def _backtrack(inst, state, value, grad, direction):
             trial_value = dual_value(trial, inst)
             if trial_value >= value + _ARMIJO_COEFF * t * slope:
                 assert trial_value >= value, "accepted step must not decrease the dual"
-                return True, trial, trial_value
+                return trial, trial_value
         t *= _BACKTRACK_FACTOR
-    return False, state, value
+    return state, value
 
 
 def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveReport:
@@ -153,15 +157,16 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
 
     Newton iterations ``lam <- lam + t*d`` with ``-H d = grad`` (closed
     form, see the module docstring) run until the gradient sup-norm drops
-    below ``opts.grad_tol`` or the iteration budget is spent.  The
-    gradient is tested after the last step too, so a run that becomes
-    stationary on its final iteration is still certified.  A failed
-    Newton backtrack falls back to a plain gradient step; a failed
-    gradient step ends the run.  At a stationary point the primal is
+    below ``opts.grad_tol``, the budget is spent, or a step leaves ``lam``
+    bitwise unchanged (MaxIterations, as a full budget of repeats would
+    report).  The gradient is tested after the last step too, so a run
+    that becomes stationary on its final iteration is still certified.
+    A Newton backtrack that returns its input state falls back to a plain
+    gradient step.  At a stationary point the primal is
     recovered from the cached solve and rounded (every entry within
     ``_SIGN_TOL`` of +/-1, else ``x`` is None); the report is Certified
     only when the rounding passes :func:`verify.check_certificate` on the
-    final state, which reuses its factorization.
+    final state, which reuses its factorization and gives f(x) and the gap.
     """
     opts = opts or SolveOptions()
     try:
@@ -184,11 +189,12 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
         if stationary or iterations == opts.max_iter:
             break
         direction = _ascent_direction(inst, state, grad)
-        accepted, state, value = _backtrack(inst, state, value, grad, direction)
-        if not accepted and direction is not grad:
-            accepted, state, value = _backtrack(inst, state, value, grad, grad)
-        if not accepted:
+        step, step_value = _backtrack(inst, state, value, grad, direction)
+        if step is state and direction is not grad:
+            step, step_value = _backtrack(inst, state, value, grad, grad)
+        if np.array_equal(step.lam, state.lam):
             break
+        state, value = step, step_value
         iterations += 1
         trace.append(value)
 
@@ -197,9 +203,8 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     primal = gap = math.nan
     certified = False
     if x is not None:
-        primal = objective_value(inst, x)
         check = check_certificate(inst, x, state)
-        gap, certified = check.gap, check.overall
+        primal, gap, certified = check.primal, check.gap, check.overall
     status = SolveStatus.MAX_ITERATIONS
     if stationary:
         status = SolveStatus.CERTIFIED if certified else SolveStatus.STATIONARY_NOT_BOOLEAN

@@ -115,33 +115,22 @@ def q_of_lambda(q, lam) -> np.ndarray:
     return shifted
 
 
-def lagrangian_value(inst: BqpInstance, x, lam) -> float:
-    """Lagrangian ``0.5 * x'(Q + diag(lam))x - c'x - 0.5 * sum(lam)``.
-
-    On sign vectors the multiplier terms cancel and this equals the
-    objective, for any multipliers.
-    """
-    x = as_vector(x, inst.n)
-    lam = as_vector(lam, inst.n)
-    quad = x @ (inst.q @ x) + lam @ (x * x)
-    return float(0.5 * quad - inst.c @ x - 0.5 * lam.sum())
-
-
 def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     """Build the dual state at ``lam``, testing positive definiteness.
 
     The shifted matrix is built straight from the validated ``inst.q``
-    and factorized once; ``x(lam)`` is one solve against that factor.
+    and factorized once, in place, so a dual point holds one n x n array;
+    ``x(lam)`` is one solve against that factor.
     Infeasibility is a state, not an error: the returned object simply
     carries ``feasible=False`` with no cached factor.  A shifted diagonal
     that overflows float64 is infeasible too.
     """
     lam = as_vector(lam, inst.n)
-    shifted = inst.q.copy()
+    shifted = inst.q.copy(order="F")
     try:
         with np.errstate(over="raise"):
-            shifted.reshape(-1)[:: inst.n + 1] += lam
-        factor = spd_factorize(shifted)
+            shifted.reshape(-1, order="F")[:: inst.n + 1] += lam
+        factor = spd_factorize(shifted, overwrite=True)
     except (FloatingPointError, NotPositiveDefinite):
         return DualState(lam=lam, feasible=False, factor=None, x_of_lambda=None)
     return DualState(lam=lam, feasible=True, factor=factor, x_of_lambda=spd_solve(factor, inst.c))

@@ -103,7 +103,7 @@ class SpdFactor:
     lower: np.ndarray
 
 
-def spd_factorize(a) -> SpdFactor:
+def spd_factorize(a, overwrite: bool = False) -> SpdFactor:
     """Cholesky-factorize a symmetric matrix, or fail with the bad pivot.
 
     Succeeds exactly when the matrix is positive definite: every pivot
@@ -113,12 +113,13 @@ def spd_factorize(a) -> SpdFactor:
     factorization; when it stops at a non-positive pivot, an earlier
     pivot below the tolerance is still the one reported.  Raises
     :class:`NotPositiveDefinite` carrying the index of the first failing
-    pivot.
+    pivot.  With ``overwrite`` a Fortran-ordered float array is factorized
+    in place and becomes ``lower``: the caller gives ``a`` up.
     """
     a = require_symmetric(a)
     n = a.shape[0]
     pivot_tol = 1e-12 * (1.0 + float(np.abs(a.diagonal()).max()))
-    lower, info = _flapack.dpotrf(a, lower=1)
+    lower, info = _flapack.dpotrf(a, lower=1, overwrite_a=overwrite)
     # info > 0 names (1-based) the pivot LAPACK could not take; the
     # pivots before it are valid and still face the tolerance.
     checked = info - 1 if info > 0 else n

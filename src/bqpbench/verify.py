@@ -28,7 +28,6 @@ from .model import (
     as_vector,
     dual_value,
     is_dual_feasible,
-    objective_value,
 )
 
 
@@ -36,8 +35,10 @@ from .model import (
 class VerifyReport:
     """Outcome of the four certificate checks plus informational inertia.
 
-    ``gap`` is NaN when the multipliers are infeasible (the dual value is
-    undefined there); ``overall`` is the conjunction of the four booleans.
+    ``primal`` is the objective f(x) and ``gap`` is f(x) minus the dual
+    value; both are NaN when the multipliers are infeasible (the dual value
+    is undefined there) or ``x`` is not a sign vector.  ``overall`` is the
+    conjunction of the four booleans.
     ``inertia_note`` describes the signature of the instance matrix ``q``;
     it needs a full eigendecomposition, so it is computed on first read.
     """
@@ -45,6 +46,7 @@ class VerifyReport:
     pd_ok: bool
     stationary_ok: bool
     boolean_ok: bool
+    primal: float
     gap: float
     gap_ok: bool
     overall: bool
@@ -69,29 +71,31 @@ def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6)
     ``(Q + diag(lam)) x - c`` has sup-norm at most ``tol * (1 + ||c||_inf)``
     (one that overflows fails); boolean_ok: every entry of ``x`` is exactly
     +/-1; gap_ok: the primal-dual gap is at most ``tol * (1 + |f(x)|)`` in
-    magnitude.
+    magnitude.  One product ``Q x`` serves the residual and f(x).
     """
     if not 0 < tol < inf:
         raise ValueError("tol must be positive and finite")
     pd_ok = state.feasible
 
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = inst.q @ x + state.lam * x - inst.c
+        qx = inst.q @ x
+        residual = qx + state.lam * x - inst.c
     stationary_ok = bool(np.abs(residual).max() <= tol * (1.0 + np.abs(inst.c).max()))
 
     boolean_ok = bool((np.abs(x) == 1.0).all())
 
     if pd_ok and boolean_ok:
-        primal = objective_value(inst, x)
+        primal = float(0.5 * (x @ qx) - inst.c @ x)
         gap = primal - dual_value(state, inst)
         gap_ok = bool(abs(gap) <= tol * (1.0 + abs(primal)))
     else:
-        gap, gap_ok = nan, False
+        primal, gap, gap_ok = nan, nan, False
 
     return VerifyReport(
         pd_ok=pd_ok,
         stationary_ok=stationary_ok,
         boolean_ok=boolean_ok,
+        primal=primal,
         gap=gap,
         gap_ok=gap_ok,
         overall=pd_ok and stationary_ok and boolean_ok and gap_ok,

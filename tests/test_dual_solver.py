@@ -34,6 +34,17 @@ class TestInitialPoint:
         state = initial_point(BqpInstance([[-5.0]], [1.0]))
         np.testing.assert_array_equal(state.lam, [6.0])
 
+    def test_shift_doubles_until_feasible(self, monkeypatch):
+        # 2**60 + 1 rounds to 2**60, so Q + diag(lam) = 0 until the shift
+        # reaches 256, the float spacing at 2**60: nine feasibility tests.
+        import bqpbench.dual_solver as ds
+
+        tests = []
+        monkeypatch.setattr(ds, "is_dual_feasible", lambda inst, lam: tests.append(lam) or is_dual_feasible(inst, lam))
+        state = ds.initial_point(BqpInstance([[-2.0**60]], [1.0]))
+        assert len(tests) == 9 and state.feasible
+        np.testing.assert_array_equal(state.lam - 2.0**60, [256.0])
+
     def test_overflowing_row_sums(self):
         # Row sums of 2e308 overflow float64; no warning may escape.
         inst = BqpInstance(np.full((2, 2), 1e308), [1.0, 1.0])
@@ -131,6 +142,26 @@ class TestSolveBehavior:
         assert report.status is SolveStatus.MAX_ITERATIONS
         assert report.x is None and np.isnan(report.gap)
 
+    def test_step_that_leaves_lambda_unchanged_ends_the_run(self):
+        # Every accepted step from lam = 2**60 + 256 rounds back to lam, so
+        # no iteration counts and the start point is reported.
+        inst = BqpInstance([[-2.0**60]], [1.0])
+        start = initial_point(inst)
+        report = solve_dual(inst)
+        assert report.status is SolveStatus.MAX_ITERATIONS
+        assert report.iterations == 0
+        np.testing.assert_array_equal(report.lam, start.lam)
+        assert report.dual_trace == [report.dual_value]
+
+    def test_boundary_stall_stops_before_the_budget(self):
+        # The c = 0 example stalls at the PD boundary; once lam stops moving
+        # the run ends with the value a full budget of repeats would give.
+        report = solve_dual(BqpInstance([[2.0, 1.0], [1.0, 3.0]], np.zeros(2)))
+        assert report.status is SolveStatus.MAX_ITERATIONS
+        assert report.iterations < 100
+        assert report.dual_value == pytest.approx(1.0857864376264048, abs=1e-12)
+        assert len(report.dual_trace) == report.iterations + 1
+
     def test_stationary_after_last_allowed_step_is_certified(self):
         # The second step reaches |g| ~ 3e-9 < grad_tol; the budget of two
         # steps is spent, but the point is stationary and must certify.
@@ -217,7 +248,7 @@ class TestCertification:
         inst = make()
         calls = []
         real = bqpbench.model.spd_factorize
-        monkeypatch.setattr(bqpbench.model, "spd_factorize", lambda a: calls.append(1) or real(a))
+        monkeypatch.setattr(bqpbench.model, "spd_factorize", lambda a, **kw: calls.append(1) or real(a, **kw))
         report = solve_dual(inst)
         assert report.status is SolveStatus.CERTIFIED
         assert len(calls) == count

@@ -13,7 +13,6 @@ from bqpbench import (
     dual_value,
     generate_instance,
     is_dual_feasible,
-    lagrangian_value,
     min_eigenvalue,
     objective_value,
     q_of_lambda,
@@ -75,26 +74,6 @@ class TestShiftedMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             q_of_lambda(np.eye(2), [1.0, 2.0, 3.0])
-
-
-class TestLagrangian:
-    def test_equals_objective_on_sign_vectors(self):
-        rng = np.random.default_rng(3)
-        for seed in range(20):
-            inst, _ = generate_instance(GenConfig(n=int(rng.integers(1, 10)), seed=seed))
-            x = 2.0 * rng.integers(0, 2, inst.n) - 1.0
-            lam = rng.normal(scale=50.0, size=inst.n)
-            f = objective_value(inst, x)
-            lagr = lagrangian_value(inst, x, lam)
-            assert abs(lagr - f) <= 1e-12 * (1.0 + abs(f))
-
-    def test_at_origin(self):
-        inst = BqpInstance(gold.Q1, gold.C1)
-        lam = np.array([4.0, -2.0, 1.0, 0.0, 3.0])
-        assert lagrangian_value(inst, np.zeros(5), lam) == -0.5 * lam.sum()
-
-    def test_example1_planted_point(self, example1):
-        assert lagrangian_value(example1, gold.X1, gold.LAMBDA1_INT) == pytest.approx(gold.F1, abs=1e-12)
 
 
 class TestDualValue:
@@ -187,6 +166,20 @@ class TestFeasibility:
         state = is_dual_feasible(BqpInstance([[1e308]], [1.0]), [1e308])
         assert state.feasible is False
         assert state.factor is None and state.x_of_lambda is None
+
+    def test_one_n_by_n_array_per_dual_point(self):
+        # The shifted matrix is factorized in place: no second n x n copy.
+        import tracemalloc
+
+        inst, cert = generate_instance(GenConfig(n=400, seed=0))
+        tracemalloc.start()
+        try:
+            state = is_dual_feasible(inst, cert.lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.feasible
+        assert peak < 1.5 * state.factor.lower.nbytes
 
 
 class TestWeakDuality:

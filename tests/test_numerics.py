@@ -34,6 +34,15 @@ class TestFactorize:
         expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
         np.testing.assert_allclose(factor.lower, expected, rtol=1e-15)
 
+    def test_overwrite_factorizes_in_place(self):
+        a = np.asfortranarray(shifted_example1())
+        kept = a.copy()
+        assert not np.shares_memory(spd_factorize(a).lower, a)
+        np.testing.assert_array_equal(a, kept)
+        factor = spd_factorize(a, overwrite=True)
+        assert np.shares_memory(factor.lower, a)
+        np.testing.assert_array_equal(factor.lower, spd_factorize(kept).lower)
+
     def test_negative_diagonal_fails_at_pivot_zero(self):
         with pytest.raises(NotPositiveDefinite) as exc:
             spd_factorize(gold.Q1)

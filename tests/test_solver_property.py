@@ -21,7 +21,7 @@ def _instances(draw):
     return BqpInstance(q, np.array(c, dtype=float))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_instances())
 def test_dual_bounds_the_minimum_and_certificates_are_optimal(inst):
     best = brute_force_minimize(inst).best_value

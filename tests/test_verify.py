@@ -13,7 +13,6 @@ from bqpbench import (
     dual_value,
     generate_instance,
     is_dual_feasible,
-    lagrangian_value,
     objective_value,
     schur_block_psd,
     solve_dual,
@@ -92,6 +91,34 @@ class TestCheckCertificate:
             state = is_dual_feasible(example1, cert.lam)
             # repr covers every field but q; it also compares NaN gaps.
             assert repr(check_certificate(example1, cert.x, state)) == repr(verify_certificate(example1, cert))
+
+    def test_primal_is_the_objective_where_the_gap_is_defined(self, example1, example1_cert):
+        flipped = example1_cert.x.copy()
+        flipped[0] = -flipped[0]
+        for x, lam in ((example1_cert.x, example1_cert.lam), (flipped, example1_cert.lam),
+                       (example1_cert.x, example1_cert.lam + 5.0),
+                       (example1_cert.x, np.zeros(5)), (example1_cert.x * 0.99999, example1_cert.lam)):
+            report = check_certificate(example1, x, is_dual_feasible(example1, lam))
+            if math.isnan(report.gap):
+                assert math.isnan(report.primal)
+            else:
+                assert report.primal == objective_value(example1, x)
+                assert report.gap == report.primal - dual_value(is_dual_feasible(example1, lam), example1)
+
+    def test_one_product_with_q(self, example1, example1_cert):
+        class CountingQ(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                CountingQ.products += 1
+                return np.asarray(self) @ other
+
+        state = is_dual_feasible(example1, example1_cert.lam)
+        expected = check_certificate(example1, example1_cert.x, state)
+        inst = BqpInstance(gold.Q1, gold.C1)
+        inst.q = inst.q.view(CountingQ)
+        assert repr(check_certificate(inst, example1_cert.x, state)) == repr(expected)
+        assert CountingQ.products == 1
 
     def test_makes_no_factorization(self, example1, example1_cert, monkeypatch):
         import bqpbench.model as model_module
@@ -234,7 +261,8 @@ class TestZeroGapIdentityChain:
             report = solve_dual(inst)
             assert report.status is SolveStatus.CERTIFIED
             g = dual_value(is_dual_feasible(inst, report.lam), inst)
-            lagr = lagrangian_value(inst, report.x_raw, report.lam)
+            x, lam = report.x_raw, report.lam
+            lagr = 0.5 * (x @ (inst.q @ x) + lam @ (x * x)) - inst.c @ x - 0.5 * lam.sum()
             f = objective_value(inst, report.x)
             scale = 1.0 + abs(f)
             assert abs(g - lagr) <= 1e-9 * scale
