@@ -135,9 +135,10 @@ def _ascent_direction(inst: BqpInstance, state: DualState, grad: np.ndarray) -> 
 def _backtrack(inst, state, value, grad, direction):
     """Shrink the step until the trial point is feasible and Armijo holds.
 
-    Returns the accepted ``(state, value)``, or its input ``(state, value)``
-    when no trial passes within 60 shrinks in total across the feasibility
-    and ascent phases.
+    Returns the accepted ``(state, value)``, or None when no trial passes
+    within 60 shrinks in total across the feasibility and ascent phases.
+    (An accepted trial can be ``state`` itself: a step too small to move
+    ``lam`` gets the instance's memoized state back.)
     """
     slope = float(grad @ direction)
     t = 1.0
@@ -149,7 +150,7 @@ def _backtrack(inst, state, value, grad, direction):
                 assert trial_value >= value, "accepted step must not decrease the dual"
                 return trial, trial_value
         t *= _BACKTRACK_FACTOR
-    return state, value
+    return None
 
 
 def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveReport:
@@ -161,7 +162,7 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     bitwise unchanged (MaxIterations, as a full budget of repeats would
     report).  The gradient is tested after the last step too, so a run
     that becomes stationary on its final iteration is still certified.
-    A Newton backtrack that returns its input state falls back to a plain
+    A Newton backtrack in which no trial passes falls back to a plain
     gradient step.  At a stationary point the primal is
     recovered from the cached solve and rounded (every entry within
     ``_SIGN_TOL`` of +/-1, else ``x`` is None); the report is Certified
@@ -189,12 +190,12 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
         if stationary or iterations == opts.max_iter:
             break
         direction = _ascent_direction(inst, state, grad)
-        step, step_value = _backtrack(inst, state, value, grad, direction)
-        if step is state and direction is not grad:
-            step, step_value = _backtrack(inst, state, value, grad, grad)
-        if np.array_equal(step.lam, state.lam):
+        step = _backtrack(inst, state, value, grad, direction)
+        if step is None and direction is not grad:
+            step = _backtrack(inst, state, value, grad, grad)
+        if step is None or np.array_equal(step[0].lam, state.lam):
             break
-        state, value = step, step_value
+        state, value = step
         iterations += 1
         trace.append(value)
 

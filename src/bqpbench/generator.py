@@ -81,7 +81,10 @@ class Certificate:
 def round_half_away(values) -> np.ndarray:
     """Round to nearest integer with halves away from zero (0.5 -> 1, -0.5 -> -1)."""
     values = np.asarray(values, dtype=float)
-    return np.copysign(np.floor(np.abs(values) + 0.5), values)
+    rounded = np.abs(values, out=np.empty_like(values))
+    rounded += 0.5
+    np.floor(rounded, out=rounded)
+    return np.copysign(rounded, values, out=rounded)
 
 
 def _finite(cfg: GenConfig, name: str, values: np.ndarray) -> np.ndarray:
@@ -119,7 +122,12 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
             gauss = rng.standard_normal((cfg.n, cfg.n))
         except MemoryError as exc:
             raise GenerationFailed(f"cannot allocate an n x n matrix at n={cfg.n}") from exc
-        q = _finite(cfg, "Q", round_half_away(cfg.base * (gauss + gauss.T) / 2.0))
+        # base * (G + G') / 2 in one buffer; the draw is freed before rounding.
+        q = gauss + gauss.T
+        del gauss
+        q *= cfg.base
+        q /= 2.0
+        q = _finite(cfg, "Q", round_half_away(q))
         x = 2.0 * rng.integers(0, 2, size=cfg.n) - 1.0
         lam = _finite(cfg, "lambda", np.abs(q).sum(axis=1) + margin + bump)
         shifted = q_of_lambda(q, lam)

@@ -6,7 +6,10 @@ quadratic to ``Q + diag(lam)``; whenever that shift is positive definite
 the dual function has the closed form ``-0.5 * c'(Q + diag(lam))^-1 c -
 0.5 * sum(lam)``, which this module evaluates together with its gradient
 through a single cached factorization: one LAPACK Cholesky and one LAPACK
-solve per multiplier point.  The explicit Hessian costs n more solves;
+solve per multiplier point.  Each instance memoizes its last feasible
+dual state, so a multiplier point that the solver, ``verify`` and the
+Schur check all ask about is factorized once: the memo retains at most
+one factor per live instance.  The explicit Hessian costs n more solves;
 it is a reference for the solver's closed-form Newton step, which never
 forms it.
 """
@@ -58,10 +61,12 @@ class BqpInstance:
     ``q`` is validated to be exactly symmetric and ``c`` to be a finite
     vector of matching length (a zero ``c`` is accepted).  Both are kept
     as read-only copies, so code holding an instance does not check
-    ``q`` again.
+    ``q`` again.  The instance also holds the last feasible
+    :class:`DualState` that :func:`is_dual_feasible` built for it (one
+    factor of ``Q + diag(lam)``, freed with the instance).
     """
 
-    __slots__ = ("q", "c")
+    __slots__ = ("q", "c", "_dual_memo")
 
     def __init__(self, q, c):
         q = require_symmetric(q).copy()
@@ -70,6 +75,7 @@ class BqpInstance:
         c.flags.writeable = False
         self.q = q
         self.c = c
+        self._dual_memo = None
 
     @property
     def n(self) -> int:
@@ -84,14 +90,17 @@ class BqpInstance:
         return f"BqpInstance(n={self.n})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualState:
     """A multiplier point with cached feasibility evidence.
 
     ``feasible`` is true exactly when ``factor`` holds the Cholesky factor
     of the shifted matrix; ``x_of_lambda`` then solves
     ``(q + diag(lam)) x = c`` so that the dual value, gradient, and
-    Hessian all reuse one factorization.
+    Hessian all reuse one factorization.  A feasible state may be handed
+    to every later caller at the same ``lam`` (see
+    :func:`is_dual_feasible`), so its ``lam``, ``x_of_lambda`` and
+    ``factor.lower`` are read-only and ``lam`` is its own copy.
     """
 
     lam: np.ndarray
@@ -124,16 +133,33 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     Infeasibility is a state, not an error: the returned object simply
     carries ``feasible=False`` with no cached factor.  A shifted diagonal
     that overflows float64 is infeasible too.
+
+    A feasible state is memoized on ``inst`` (one slot, replaced by the
+    next feasible point), and a ``lam`` bitwise equal to the memoized one
+    returns that same object without factorizing: each multiplier point
+    is factorized at most once while it is the instance's latest.  The
+    state keeps a read-only copy of ``lam``, so writing into the caller's
+    array afterwards only makes the next call miss.
     """
     lam = as_vector(lam, inst.n)
-    shifted = inst.q.copy(order="F")
+    # Read once: another thread may replace the memo but never changes a state.
+    memo = inst._dual_memo
+    if memo is not None and memo.lam.tobytes() == lam.tobytes():
+        return memo
+    # Q is exactly symmetric, so the transposed copy is Q in Fortran order.
+    shifted = inst.q.copy().T
     try:
         with np.errstate(over="raise"):
             shifted.reshape(-1, order="F")[:: inst.n + 1] += lam
         factor = spd_factorize(shifted, overwrite=True)
     except (FloatingPointError, NotPositiveDefinite):
         return DualState(lam=lam, feasible=False, factor=None, x_of_lambda=None)
-    return DualState(lam=lam, feasible=True, factor=factor, x_of_lambda=spd_solve(factor, inst.c))
+    lam = lam.copy()
+    x = spd_solve(factor, inst.c)
+    for owned in (lam, x, factor.lower):
+        owned.flags.writeable = False
+    inst._dual_memo = DualState(lam=lam, feasible=True, factor=factor, x_of_lambda=x)
+    return inst._dual_memo
 
 
 def dual_value(state: DualState, inst: BqpInstance) -> float:

@@ -11,6 +11,10 @@ same inverse condition can be phrased as positive semidefiniteness of the
 bordered block ``[[Q+diag(lam), c], [c', t]]`` for ``t`` at least
 ``c'(Q+diag(lam))^-1 c``, which this module decides through the block's
 Schur complement with the same Cholesky witness as the certificate check.
+Both checks get their dual state from :func:`model.is_dual_feasible`,
+which memoizes the last feasible state on the instance: at the ``lam``
+the solver just returned, or the one the other check just used, neither
+factorizes again.
 """
 
 from __future__ import annotations
@@ -105,7 +109,8 @@ def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6)
 
 def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) -> VerifyReport:
     """Check a certificate against its instance: one factorization of the
-    shifted matrix, then :func:`check_certificate`."""
+    shifted matrix (none when it is the instance's memoized dual point),
+    then :func:`check_certificate`."""
     x = as_vector(cert.x, inst.n)
     return check_certificate(inst, x, is_dual_feasible(inst, cert.lam), tol)
 
@@ -116,7 +121,8 @@ def schur_block_psd(inst: BqpInstance, lam, t: float) -> tuple[bool, float]:
 
     With a positive definite shift the block is PSD iff ``schur >= 0``;
     the test accepts ``schur >= -1e-8 * (1 + |t|)``.  One factorization
-    (:func:`is_dual_feasible`) gives ``x(lam)``; the block is never formed.
+    (:func:`is_dual_feasible`, none when ``lam`` is the instance's
+    memoized dual point) gives ``x(lam)``; the block is never formed.
     A shift that fails ``spd_factorize``'s pivot rule gives ``(False,
     nan)``: a certificate needs PD, so a singular PSD shift is not PSD here.
     """

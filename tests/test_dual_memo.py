@@ -1,0 +1,142 @@
+"""The one-slot memo of the last feasible dual state on each instance."""
+
+import numpy as np
+import pytest
+
+from bqpbench import (
+    BqpInstance,
+    Certificate,
+    GenConfig,
+    SolveStatus,
+    generate_instance,
+    is_dual_feasible,
+    schur_block_psd,
+    solve_dual,
+    verify_certificate,
+)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every spd_factorize call made by the model and the generator."""
+    import bqpbench.generator
+    import bqpbench.model
+
+    calls = []
+    real = bqpbench.model.spd_factorize
+    for module in (bqpbench.model, bqpbench.generator):
+        monkeypatch.setattr(module, "spd_factorize", lambda a, **kw: calls.append(1) or real(a, **kw))
+    return calls
+
+
+def report_bits(report) -> bytes:
+    parts = [np.array([report.primal_value, report.dual_value, report.gap, *report.dual_trace]),
+             np.array([report.iterations]), report.lam, report.x, report.x_raw]
+    bits = b"".join(b"-" if a is None else np.ascontiguousarray(a).tobytes() for a in parts)
+    return bits + report.status.value.encode()
+
+
+def stalled_unplanted():
+    q = generate_instance(GenConfig(n=10, seed=3))[0].q
+    c = np.round(10.0 * np.random.default_rng([3, 3]).standard_normal(10))
+    return BqpInstance(q, c)
+
+
+def stalled_spectral():
+    # Planted at lam = (ceil(-lambda_min(Q)) + 1) * e, next to the PD
+    # boundary; the ascent stalls there and meets memo hits on the way.
+    inst, cert = generate_instance(GenConfig(n=8, seed=4))
+    lam = np.full(8, np.ceil(-np.linalg.eigvalsh(inst.q)[0]) + 1.0)
+    return BqpInstance(inst.q, (inst.q + np.diag(lam)) @ cert.x)
+
+
+def test_pipeline_factorizes_each_dual_point_once(factorizations):
+    # generate (1), solve_dual (start point + 2 trials); verify_certificate
+    # and schur_block_psd at the solver's lam reuse its final factor.
+    inst, cert = generate_instance(GenConfig(n=200, seed=1))
+    report = solve_dual(inst)
+    assert report.status is SolveStatus.CERTIFIED
+    assert verify_certificate(inst, Certificate(x=report.x, lam=report.lam)).overall
+    is_psd, _ = schur_block_psd(inst, report.lam, float(inst.c @ report.x_raw) + 1.0)
+    assert is_psd
+    assert len(factorizations) == 4
+
+
+@pytest.mark.parametrize("make", [
+    stalled_unplanted,
+    stalled_spectral,
+    lambda: BqpInstance([[2, 1], [1, 3]], [0, 0]),
+])
+def test_repeated_solves_are_bitwise_identical(monkeypatch, make):
+    # A memo hit can hand back the very state the ascent holds; the solver
+    # must take the same path as without the memo, where every feasibility
+    # test factorizes on a fresh instance.
+    import bqpbench.dual_solver as ds
+
+    tests = []
+    monkeypatch.setattr(ds, "is_dual_feasible", lambda inst, lam: tests.append(1) or is_dual_feasible(inst, lam))
+    inst = make()
+    counts, reports = [], []
+    for target in (inst, inst, make(), None):
+        if target is None:  # the same solve with no memo to hit
+            target = make()
+            monkeypatch.setattr(
+                ds, "is_dual_feasible",
+                lambda inst, lam: tests.append(1) or is_dual_feasible(BqpInstance(inst.q, inst.c), lam))
+        tests.clear()
+        report = ds.solve_dual(target)
+        assert report.status is SolveStatus.MAX_ITERATIONS
+        reports.append(report_bits(report))
+        counts.append(len(tests))
+    assert reports[0] == reports[1] == reports[2] == reports[3]
+    assert counts[0] == counts[1] == counts[2] == counts[3]
+
+
+def test_reported_arrays_are_read_only():
+    inst, _ = generate_instance(GenConfig(n=30, seed=2))
+    report = solve_dual(inst)
+    state = is_dual_feasible(inst, report.lam)
+    for owned in (report.lam, report.x_raw, state.x_of_lambda, state.factor.lower):
+        with pytest.raises(ValueError, match="read-only"):
+            owned[0] = 0.0
+
+
+def test_writing_into_a_passed_lambda_refactorizes(factorizations):
+    inst, cert = generate_instance(GenConfig(n=30, seed=2))
+    lam = np.array(cert.lam)
+    first = is_dual_feasible(inst, lam)
+    factorizations.clear()
+    lam += 1.0
+    second = is_dual_feasible(inst, lam)
+    assert len(factorizations) == 1
+    assert second is not first
+    np.testing.assert_array_equal(first.lam, cert.lam)
+    np.testing.assert_array_equal(second.lam, lam)
+    fresh = is_dual_feasible(BqpInstance(inst.q, inst.c), lam)
+    np.testing.assert_array_equal(second.x_of_lambda, fresh.x_of_lambda)
+
+
+def test_hit_then_other_lambda_refactorizes(factorizations):
+    inst, cert = generate_instance(GenConfig(n=30, seed=2))
+    factorizations.clear()
+    first = is_dual_feasible(inst, cert.lam)
+    assert is_dual_feasible(inst, cert.lam.copy()) is first
+    assert len(factorizations) == 1
+    other = is_dual_feasible(inst, cert.lam + 0.5)
+    assert len(factorizations) == 2 and other is not first
+    # An infeasible point leaves the memo alone; the previous one is gone.
+    assert not is_dual_feasible(inst, np.full(inst.n, -1e6)).feasible
+    assert is_dual_feasible(inst, cert.lam + 0.5) is other
+    assert len(factorizations) == 3
+    again = is_dual_feasible(inst, cert.lam)
+    assert len(factorizations) == 4 and again is not first
+    np.testing.assert_array_equal(again.x_of_lambda, first.x_of_lambda)
+
+
+def test_signed_zero_is_a_different_lambda(factorizations):
+    # The memo compares bits, so -0.0 does not hit a state stored at +0.0.
+    inst = BqpInstance(np.eye(2), [1.0, 1.0])
+    first = is_dual_feasible(inst, [0.0, 0.0])
+    second = is_dual_feasible(inst, [-0.0, 0.0])
+    assert second is not first and len(factorizations) == 2
+    assert np.signbit(second.lam[0])

@@ -297,7 +297,10 @@ def test_owned_matrices_are_validated_once(monkeypatch):
     calls.clear()
     is_psd, _ = schur_block_psd(inst, cert.lam, float(inst.c @ cert.x) + 1.0)
     assert is_psd
-    assert len(calls) == 1  # spd_factorize of the shifted matrix
+    assert len(calls) == 0  # the factor verify_certificate made at cert.lam
+    is_psd, _ = schur_block_psd(inst, cert.lam + 1.0, float(inst.c @ cert.x) + 1.0)
+    assert is_psd
+    assert len(calls) == 1  # spd_factorize of the new shifted matrix
 
 
 def test_infinite_tolerance_is_rejected(example1, example1_cert):
