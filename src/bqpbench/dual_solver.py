@@ -31,6 +31,7 @@ from .model import (
     dual_gradient,
     dual_value,
     is_dual_feasible,
+    require_count,
 )
 from .verify import check_certificate
 
@@ -71,8 +72,7 @@ class SolveOptions:
     def __post_init__(self):
         if not 0 < self.grad_tol < math.inf:
             raise ValueError("grad_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        require_count(self.max_iter, "max_iter", 1)
 
 
 @dataclass

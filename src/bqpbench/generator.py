@@ -3,10 +3,10 @@
 Instances are built inside out: draw a random symmetric integer matrix,
 pick multipliers as the absolute row sums (diagonal included) so the
 shifted matrix is diagonally dominant, draw a random sign vector, and set
-the linear term to ``(Q + diag(lam)) x``.  The planted pair ``(x, lam)``
-then satisfies the stationarity and positive-definiteness conditions
-that make ``x`` the unique global minimizer, so every emitted instance
-ships with its own optimality certificate.
+the linear term to ``Qx + lam * x``.  :func:`model.is_dual_feasible`, the
+solver's and ``verify``'s witness, confirms the shift positive definite,
+so the planted pair ``(x, lam)`` makes ``x`` the unique global minimizer
+and every emitted instance ships with its own optimality certificate.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BqpInstance, as_sign_vector, as_vector, q_of_lambda
-from .numerics import NotPositiveDefinite, spd_factorize
+from .model import BqpInstance, as_sign_vector, as_vector, is_dual_feasible, require_count
 
 _MAX_REDRAWS = 100
 
@@ -42,21 +41,20 @@ class GenConfig:
     margin: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        require_count(self.n, "n", 1)
+        require_count(self.seed, "seed", 0)
         if not 0 < self.base < math.inf:
             raise ValueError("base must be positive and finite")
         if not 0 <= self.margin < math.inf:
             raise ValueError("margin must be nonnegative and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
 
 class Certificate:
     """Planted witness: sign vector ``x`` and multipliers ``lam``.
 
     For generated instances the shifted matrix is positive definite and
-    ``(Q + diag(lam)) x = c`` holds exactly in integer arithmetic.
+    ``(Q + diag(lam)) x = c`` holds exactly while every entry is below
+    2**53 in magnitude.
     """
 
     __slots__ = ("x", "lam")
@@ -104,12 +102,13 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     uniform random sign vector, and takes the multipliers as the absolute
     row sums of ``Q`` (diagonal included) plus the margin.  That shift is
     diagonally dominant, but only weakly where a diagonal entry is
-    negative, so each attempt tests it for positive definiteness: if it
-    fails, the next attempt uses the next spawned stream, and after 100
-    redraws one last attempt repeats the final draw with every multiplier
-    bumped by 1, which makes the integer shift strictly dominant.  The
-    shifted matrix that passed the factorization also yields the linear
-    term ``c = (Q + diag(lam)) x``.  A draw whose Q, lam or c is not finite
+    negative, so each attempt sets ``c = Qx + lam * x`` and tests the
+    shift with :func:`model.is_dual_feasible`: if it fails, the next
+    attempt uses the next spawned stream, and after 100 redraws one last
+    attempt repeats the final draw with every multiplier bumped by 1, which
+    makes the integer shift strictly dominant.  The returned instance holds
+    the planted factor in its dual memo, so checking the certificate right
+    away factorizes nothing.  A draw whose Q, lam or c is not finite
     (a ``base`` too large for float64), or whose n x n matrix cannot be
     allocated, raises :class:`GenerationFailed`.
     """
@@ -130,12 +129,10 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
         q = _finite(cfg, "Q", round_half_away(q))
         x = 2.0 * rng.integers(0, 2, size=cfg.n) - 1.0
         lam = _finite(cfg, "lambda", np.abs(q).sum(axis=1) + margin + bump)
-        shifted = q_of_lambda(q, lam)
-        try:
-            spd_factorize(shifted)
-        except NotPositiveDefinite:
-            continue
-        return BqpInstance(q, _finite(cfg, "c", shifted @ x)), Certificate(x=x, lam=lam)
+        inst = BqpInstance(q, _finite(cfg, "c", q @ x + lam * x))
+        del q  # the instance holds its own copy
+        if is_dual_feasible(inst, lam).feasible:
+            return inst, Certificate(x=x, lam=lam)
     raise GenerationFailed(
         f"no positive definite shift after {_MAX_REDRAWS} redraws and a margin bump"
     )

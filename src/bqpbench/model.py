@@ -7,15 +7,15 @@ the dual function has the closed form ``-0.5 * c'(Q + diag(lam))^-1 c -
 0.5 * sum(lam)``, which this module evaluates together with its gradient
 through a single cached factorization: one LAPACK Cholesky and one LAPACK
 solve per multiplier point.  Each instance memoizes its last feasible
-dual state, so a multiplier point that the solver, ``verify`` and the
-Schur check all ask about is factorized once: the memo retains at most
-one factor per live instance.  The explicit Hessian costs n more solves;
-it is a reference for the solver's closed-form Newton step, which never
-forms it.
+dual state, so a multiplier point that the generator, the solver,
+``verify`` and the Schur check all ask about is factorized once; the memo
+retains at most one factor per live instance.  The explicit Hessian costs
+n more solves; it is a reference for the solver's Newton step.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +45,16 @@ def as_vector(v, n: int | None = None) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
+
+
+def require_count(value, name: str, low: int) -> None:
+    """Require an integer (``operator.index``: no float) of at least ``low``."""
+    try:
+        if operator.index(value) >= low:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer of at least {low}")
 
 
 def as_sign_vector(x, n: int | None = None) -> np.ndarray:

@@ -19,8 +19,7 @@ factorizes again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from math import inf, isfinite, nan
 
 import numpy as np
@@ -37,14 +36,12 @@ from .model import (
 
 @dataclass
 class VerifyReport:
-    """Outcome of the four certificate checks plus informational inertia.
+    """Outcome of the four certificate checks.
 
     ``primal`` is the objective f(x) and ``gap`` is f(x) minus the dual
     value; both are NaN when the multipliers are infeasible (the dual value
     is undefined there) or ``x`` is not a sign vector.  ``overall`` is the
     conjunction of the four booleans.
-    ``inertia_note`` describes the signature of the instance matrix ``q``;
-    it needs a full eigendecomposition, so it is computed on first read.
     """
 
     pd_ok: bool
@@ -54,16 +51,17 @@ class VerifyReport:
     gap: float
     gap_ok: bool
     overall: bool
-    q: np.ndarray = field(repr=False, compare=False)
 
-    @cached_property
-    def inertia_note(self) -> str:
-        eigs = np.linalg.eigvalsh(self.q)
-        tol = 1e-8 * (1.0 + float(np.abs(self.q).sum(axis=1).max()))
-        neg = int((eigs < -tol).sum())
-        pos = int((eigs > tol).sum())
-        zero = len(eigs) - neg - pos
-        return f"Q inertia: {neg} negative, {zero} zero, {pos} positive"
+
+def inertia_note(q: np.ndarray) -> str:
+    """Informational signature of the instance matrix ``q``: one full
+    eigendecomposition, which no certificate check needs."""
+    eigs = np.linalg.eigvalsh(q)
+    tol = 1e-8 * (1.0 + float(np.abs(q).sum(axis=1).max()))
+    neg = int((eigs < -tol).sum())
+    pos = int((eigs > tol).sum())
+    zero = len(eigs) - neg - pos
+    return f"Q inertia: {neg} negative, {zero} zero, {pos} positive"
 
 
 def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6) -> VerifyReport:
@@ -96,14 +94,8 @@ def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6)
         primal, gap, gap_ok = nan, nan, False
 
     return VerifyReport(
-        pd_ok=pd_ok,
-        stationary_ok=stationary_ok,
-        boolean_ok=boolean_ok,
-        primal=primal,
-        gap=gap,
-        gap_ok=gap_ok,
-        overall=pd_ok and stationary_ok and boolean_ok and gap_ok,
-        q=inst.q,
+        pd_ok=pd_ok, stationary_ok=stationary_ok, boolean_ok=boolean_ok, primal=primal,
+        gap=gap, gap_ok=gap_ok, overall=pd_ok and stationary_ok and boolean_ok and gap_ok,
     )
 
 

@@ -18,14 +18,12 @@ from bqpbench import (
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Every spd_factorize call made by the model and the generator."""
-    import bqpbench.generator
+    """Every spd_factorize call; the generator's go through the model too."""
     import bqpbench.model
 
     calls = []
     real = bqpbench.model.spd_factorize
-    for module in (bqpbench.model, bqpbench.generator):
-        monkeypatch.setattr(module, "spd_factorize", lambda a, **kw: calls.append(1) or real(a, **kw))
+    monkeypatch.setattr(bqpbench.model, "spd_factorize", lambda a, **kw: calls.append(1) or real(a, **kw))
     return calls
 
 
@@ -92,6 +90,15 @@ def test_repeated_solves_are_bitwise_identical(monkeypatch, make):
     assert counts[0] == counts[1] == counts[2] == counts[3]
 
 
+def test_verifying_a_generated_certificate_factorizes_nothing(factorizations):
+    # The generator decides PD through is_dual_feasible, so the instance
+    # comes back holding the planted dual state.
+    inst, cert = generate_instance(GenConfig(n=50, seed=5))
+    assert len(factorizations) == 1
+    assert verify_certificate(inst, cert).overall
+    assert len(factorizations) == 1
+
+
 def test_reported_arrays_are_read_only():
     inst, _ = generate_instance(GenConfig(n=30, seed=2))
     report = solve_dual(inst)
@@ -119,17 +126,17 @@ def test_writing_into_a_passed_lambda_refactorizes(factorizations):
 def test_hit_then_other_lambda_refactorizes(factorizations):
     inst, cert = generate_instance(GenConfig(n=30, seed=2))
     factorizations.clear()
-    first = is_dual_feasible(inst, cert.lam)
+    first = is_dual_feasible(inst, cert.lam)  # the state the generator planted
     assert is_dual_feasible(inst, cert.lam.copy()) is first
-    assert len(factorizations) == 1
+    assert len(factorizations) == 0
     other = is_dual_feasible(inst, cert.lam + 0.5)
-    assert len(factorizations) == 2 and other is not first
+    assert len(factorizations) == 1 and other is not first
     # An infeasible point leaves the memo alone; the previous one is gone.
     assert not is_dual_feasible(inst, np.full(inst.n, -1e6)).feasible
     assert is_dual_feasible(inst, cert.lam + 0.5) is other
-    assert len(factorizations) == 3
+    assert len(factorizations) == 2
     again = is_dual_feasible(inst, cert.lam)
-    assert len(factorizations) == 4 and again is not first
+    assert len(factorizations) == 3 and again is not first
     np.testing.assert_array_equal(again.x_of_lambda, first.x_of_lambda)
 
 

@@ -308,3 +308,11 @@ class TestNewtonDirection:
 def test_options_reject_non_finite_grad_tol(value):
     with pytest.raises(ValueError, match="grad_tol"):
         SolveOptions(grad_tol=value)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.5, 100.0, 0, -3, "100"])
+def test_options_reject_non_integer_max_iter(value):
+    # A float budget would never equal the iteration count, so the solve
+    # would run unbounded.
+    with pytest.raises(ValueError, match="^max_iter must be an integer"):
+        SolveOptions(max_iter=value)

@@ -125,17 +125,18 @@ class TestGenerateInstance:
 class TestRetryPolicy:
     def test_margin_bump_after_exhausted_redraws(self, monkeypatch):
         import bqpbench.generator as gen
+        import bqpbench.model as model
 
-        real = gen.spd_factorize
+        real = model.spd_factorize
         calls = {"n": 0}
 
-        def flaky(a):
+        def flaky(a, **kw):
             calls["n"] += 1
             if calls["n"] <= 101:
                 raise NotPositiveDefinite(0)
-            return real(a)
+            return real(a, **kw)
 
-        monkeypatch.setattr(gen, "spd_factorize", flaky)
+        monkeypatch.setattr(model, "spd_factorize", flaky)
         inst, cert = gen.generate_instance(GenConfig(n=4, seed=0))
         rowsums = np.abs(inst.q).sum(axis=1)
         np.testing.assert_array_equal(cert.lam, rowsums + 1.0)
@@ -143,12 +144,13 @@ class TestRetryPolicy:
 
     def test_generation_failed_when_nothing_factorizes(self, monkeypatch):
         import bqpbench.generator as gen
+        import bqpbench.model as model
         from bqpbench import GenerationFailed
 
-        def hopeless(a):
+        def hopeless(a, **kw):
             raise NotPositiveDefinite(0)
 
-        monkeypatch.setattr(gen, "spd_factorize", hopeless)
+        monkeypatch.setattr(model, "spd_factorize", hopeless)
         with pytest.raises(GenerationFailed):
             gen.generate_instance(GenConfig(n=3, seed=0))
 
@@ -167,6 +169,29 @@ def test_overflowing_base_fails_cleanly(n, base, name):
     message = f"{name} overflows float64 at n={n}, base={base!r}"
     with pytest.raises(GenerationFailed, match=f"^{re.escape(message)}$"):
         generate_instance(GenConfig(n=n, base=base))
+
+
+def test_planted_residual_is_exact_beyond_integer_precision():
+    # lam reaches ~2e16 > 2**53 here, so (Q + diag(lam)) x is not exact in
+    # float64; c is formed as Qx + lam*x, the product the residual check uses.
+    inst, cert = generate_instance(GenConfig(n=300, base=1e14))
+    assert cert.lam.max() > 2.0 ** 53
+    residual = inst.q @ cert.x + cert.lam * cert.x - inst.c
+    assert not residual.any()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 2.5), ("n", 3.0), ("n", float("inf")), ("n", float("nan")), ("n", "3"),
+    ("seed", 1.5), ("seed", -1), ("seed", float("nan")),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        GenConfig(**{"n": 3, field: value})
+
+
+def test_config_accepts_numpy_integers():
+    inst, _ = generate_instance(GenConfig(n=np.int64(3), seed=np.uint32(4)))
+    assert inst == generate_instance(GenConfig(n=3, seed=4))[0]
 
 
 def test_unallocatable_dimension_fails_cleanly():

@@ -21,7 +21,7 @@ from bqpbench import (
     q_of_lambda,
     verify_certificate,
 )
-from bqpbench.verify import check_certificate
+from bqpbench.verify import check_certificate, inertia_note
 
 
 @pytest.fixture
@@ -60,21 +60,17 @@ class TestVerifyCertificate:
             report.pd_ok and report.stationary_ok and report.boolean_ok and report.gap_ok
         )
 
-    def test_inertia_note_reports_signature(self, example1, example1_cert):
-        report = verify_certificate(example1, example1_cert)
-        assert report.inertia_note == "Q inertia: 3 negative, 0 zero, 2 positive"
+    def test_inertia_note_reports_signature(self, example1):
+        assert inertia_note(example1.q) == "Q inertia: 3 negative, 0 zero, 2 positive"
 
-    def test_inertia_note_computed_only_when_read(self, example1, example1_cert, monkeypatch):
+    def test_verify_certificate_calls_no_eigvalsh(self, example1, example1_cert, monkeypatch):
         import bqpbench.verify as verify_module
 
         def refuse(*args, **kwargs):
             raise AssertionError("eigvalsh called")
 
         monkeypatch.setattr(verify_module.np.linalg, "eigvalsh", refuse)
-        report = verify_certificate(example1, example1_cert)
-        assert report.overall
-        monkeypatch.undo()
-        assert report.inertia_note == "Q inertia: 3 negative, 0 zero, 2 positive"
+        assert verify_certificate(example1, example1_cert).overall
 
     def test_tolerance_must_be_positive(self, example1, example1_cert):
         with pytest.raises(ValueError):
@@ -89,7 +85,7 @@ class TestCheckCertificate:
                      Certificate(x=flipped, lam=example1_cert.lam),
                      Certificate(x=example1_cert.x, lam=np.zeros(5))):
             state = is_dual_feasible(example1, cert.lam)
-            # repr covers every field but q; it also compares NaN gaps.
+            # repr covers every field; it also compares NaN gaps.
             assert repr(check_certificate(example1, cert.x, state)) == repr(verify_certificate(example1, cert))
 
     def test_primal_is_the_objective_where_the_gap_is_defined(self, example1, example1_cert):
@@ -290,14 +286,13 @@ def test_owned_matrices_are_validated_once(monkeypatch):
         monkeypatch.setattr(module, "require_symmetric", lambda a: calls.append(1) or real(a))
 
     inst, cert = generate_instance(GenConfig(n=30, seed=0))
-    assert len(calls) == 3  # q_of_lambda, spd_factorize, BqpInstance
+    assert len(calls) == 2  # BqpInstance, spd_factorize
     calls.clear()
     assert verify_certificate(inst, cert).overall
-    assert len(calls) == 1  # spd_factorize of the shifted matrix
-    calls.clear()
+    assert len(calls) == 0  # the factor the generator made at cert.lam
     is_psd, _ = schur_block_psd(inst, cert.lam, float(inst.c @ cert.x) + 1.0)
     assert is_psd
-    assert len(calls) == 0  # the factor verify_certificate made at cert.lam
+    assert len(calls) == 0
     is_psd, _ = schur_block_psd(inst, cert.lam + 1.0, float(inst.c @ cert.x) + 1.0)
     assert is_psd
     assert len(calls) == 1  # spd_factorize of the new shifted matrix
