@@ -63,7 +63,7 @@ class TestVerifyCertificate:
     def test_inertia_note_reports_signature(self, example1):
         assert inertia_note(example1.q) == "Q inertia: 3 negative, 0 zero, 2 positive"
 
-    def test_verify_certificate_calls_no_eigvalsh(self, example1, example1_cert, monkeypatch):
+    def test_inertia_note_computed_only_when_read(self, example1, example1_cert, monkeypatch):
         import bqpbench.verify as verify_module
 
         def refuse(*args, **kwargs):
@@ -71,6 +71,8 @@ class TestVerifyCertificate:
 
         monkeypatch.setattr(verify_module.np.linalg, "eigvalsh", refuse)
         assert verify_certificate(example1, example1_cert).overall
+        monkeypatch.undo()
+        assert inertia_note(example1.q) == "Q inertia: 3 negative, 0 zero, 2 positive"
 
     def test_tolerance_must_be_positive(self, example1, example1_cert):
         with pytest.raises(ValueError):
