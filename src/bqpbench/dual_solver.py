@@ -167,7 +167,7 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     recovered from the cached solve and rounded (every entry within
     ``_SIGN_TOL`` of +/-1, else ``x`` is None); the report is Certified
     only when the rounding passes :func:`verify.check_certificate` on the
-    final state, which reuses its factorization and gives f(x) and the gap.
+    final state, which reuses its ``x(lam)`` and gives f(x) and the gap.
     """
     opts = opts or SolveOptions()
     try:

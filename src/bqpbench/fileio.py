@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import Certificate
-from .model import BqpInstance
+from .model import BqpInstance, require_count
 
 FORMAT_VERSION = 1
 BENCH_CSV_HEADER = "n,seed,gen_ms,solve_ms,iters,gap,certified"
@@ -80,10 +80,11 @@ class BenchRecord:
     certified: bool
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.gen_millis < 0 or self.solve_millis < 0:
-            raise ValueError("timings must be nonnegative")
+        require_count(self.n, "n", 1)
+        require_count(self.seed, "seed", 0)
+        require_count(self.iterations, "iterations", 0)
+        if not all(0 <= t < math.inf for t in (self.gen_millis, self.solve_millis)):
+            raise ValueError("timings must be finite and nonnegative")
 
 
 def read_number(token: str) -> float:

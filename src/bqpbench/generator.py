@@ -4,9 +4,9 @@ Instances are built inside out: draw a random symmetric integer matrix,
 pick multipliers as the absolute row sums (diagonal included) so the
 shifted matrix is diagonally dominant, draw a random sign vector, and set
 the linear term to ``Qx + lam * x``.  :func:`model.is_dual_feasible`, the
-solver's and ``verify``'s witness, confirms the shift positive definite,
-so the planted pair ``(x, lam)`` makes ``x`` the unique global minimizer
-and every emitted instance ships with its own optimality certificate.
+test the solver and ``verify`` use, confirms the shift positive definite
+and memoizes ``x(lam)``, so the planted pair ``(x, lam)`` makes ``x`` the
+unique global minimizer and every instance ships with its certificate.
 """
 
 from __future__ import annotations
@@ -107,10 +107,10 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     attempt uses the next spawned stream, and after 100 redraws one last
     attempt repeats the final draw with every multiplier bumped by 1, which
     makes the integer shift strictly dominant.  The returned instance holds
-    the planted factor in its dual memo, so checking the certificate right
-    away factorizes nothing.  A draw whose Q, lam or c is not finite
-    (a ``base`` too large for float64), or whose n x n matrix cannot be
-    allocated, raises :class:`GenerationFailed`.
+    the planted dual state (``lam``, ``x(lam)``) in its memo, so checking
+    the certificate right away factorizes nothing.  A draw whose Q, lam or
+    c is not finite (a ``base`` too large for float64), or whose n x n
+    matrix cannot be allocated, raises :class:`GenerationFailed`.
     """
     margin = float(round_half_away(cfg.margin))
     streams = np.random.SeedSequence(cfg.seed).spawn(_MAX_REDRAWS + 1)

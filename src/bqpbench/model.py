@@ -5,12 +5,12 @@ A problem instance is ``minimize 0.5 * x'Qx - c'x`` over sign vectors
 quadratic to ``Q + diag(lam)``; whenever that shift is positive definite
 the dual function has the closed form ``-0.5 * c'(Q + diag(lam))^-1 c -
 0.5 * sum(lam)``, which this module evaluates together with its gradient
-through a single cached factorization: one LAPACK Cholesky and one LAPACK
-solve per multiplier point.  Each instance memoizes its last feasible
-dual state, so a multiplier point that the generator, the solver,
-``verify`` and the Schur check all ask about is factorized once; the memo
-retains at most one factor per live instance.  The explicit Hessian costs
-n more solves; it is a reference for the solver's Newton step.
+from one LAPACK Cholesky and one LAPACK solve per multiplier point; a
+dual point keeps only ``lam`` and the solved ``x(lam)``.  Each instance
+memoizes its last feasible dual state, so a multiplier point that the
+generator, the solver, ``verify`` and the Schur check all ask about is
+factorized once.  The explicit Hessian factorizes again and costs n more
+solves; it is a reference for the solver's Newton step.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .numerics import (
     DimensionMismatch,
     NotPositiveDefinite,
-    SpdFactor,
     require_symmetric,
     spd_factorize,
     spd_solve,
@@ -72,8 +71,8 @@ class BqpInstance:
     vector of matching length (a zero ``c`` is accepted).  Both are kept
     as read-only copies, so code holding an instance does not check
     ``q`` again.  The instance also holds the last feasible
-    :class:`DualState` that :func:`is_dual_feasible` built for it (one
-    factor of ``Q + diag(lam)``, freed with the instance).
+    :class:`DualState` that :func:`is_dual_feasible` built for it (its
+    ``lam`` and ``x(lam)``, no n x n array of its own).
     """
 
     __slots__ = ("q", "c", "_dual_memo")
@@ -102,21 +101,22 @@ class BqpInstance:
 
 @dataclass(frozen=True)
 class DualState:
-    """A multiplier point with cached feasibility evidence.
+    """A multiplier point and its solved vector.
 
-    ``feasible`` is true exactly when ``factor`` holds the Cholesky factor
-    of the shifted matrix; ``x_of_lambda`` then solves
-    ``(q + diag(lam)) x = c`` so that the dual value, gradient, and
-    Hessian all reuse one factorization.  A feasible state may be handed
-    to every later caller at the same ``lam`` (see
-    :func:`is_dual_feasible`), so its ``lam``, ``x_of_lambda`` and
-    ``factor.lower`` are read-only and ``lam`` is its own copy.
+    ``x_of_lambda`` solves ``(q + diag(lam)) x = c`` where the shift is
+    positive definite (``feasible``), else None; ``q`` is the instance's
+    read-only matrix itself.  A feasible state may be handed to every later
+    caller at the same ``lam`` (see :func:`is_dual_feasible`), so its
+    ``lam`` and ``x_of_lambda`` are read-only and ``lam`` is its own copy.
     """
 
     lam: np.ndarray
-    feasible: bool
-    factor: SpdFactor | None
+    q: np.ndarray
     x_of_lambda: np.ndarray | None
+
+    @property
+    def feasible(self) -> bool:
+        return self.x_of_lambda is not None
 
 
 def objective_value(inst: BqpInstance, x) -> float:
@@ -138,10 +138,10 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     """Build the dual state at ``lam``, testing positive definiteness.
 
     The shifted matrix is built straight from the validated ``inst.q``
-    and factorized once, in place, so a dual point holds one n x n array;
-    ``x(lam)`` is one solve against that factor.
+    and factorized once, in place; ``x(lam)`` is one solve against that
+    factor, which is then let go, so the state holds no n x n array.
     Infeasibility is a state, not an error: the returned object simply
-    carries ``feasible=False`` with no cached factor.  A shifted diagonal
+    carries ``x_of_lambda=None`` (``feasible`` false).  A shifted diagonal
     that overflows float64 is infeasible too.
 
     A feasible state is memoized on ``inst`` (one slot, replaced by the
@@ -163,12 +163,12 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
             shifted.reshape(-1, order="F")[:: inst.n + 1] += lam
         factor = spd_factorize(shifted, overwrite=True)
     except (FloatingPointError, NotPositiveDefinite):
-        return DualState(lam=lam, feasible=False, factor=None, x_of_lambda=None)
+        return DualState(lam=lam, q=inst.q, x_of_lambda=None)
     lam = lam.copy()
     x = spd_solve(factor, inst.c)
-    for owned in (lam, x, factor.lower):
+    for owned in (lam, x):
         owned.flags.writeable = False
-    inst._dual_memo = DualState(lam=lam, feasible=True, factor=factor, x_of_lambda=x)
+    inst._dual_memo = DualState(lam=lam, q=inst.q, x_of_lambda=x)
     return inst._dual_memo
 
 
@@ -197,13 +197,14 @@ def dual_hessian(state: DualState) -> np.ndarray:
     where ``M`` is the inverse of the shifted matrix.
 
     Symmetric and negative semidefinite wherever the dual is defined.
-    Forming ``M`` takes n solves against the cached factor.  This is a
-    reference: ``dual_solver`` never calls it and takes its Newton step
-    in closed form (see that module).
+    Forming ``M`` factorizes ``q_of_lambda(state.q, state.lam)`` afresh
+    and takes n solves.  This is a reference: ``dual_solver`` never calls
+    it and takes its Newton step in closed form (see that module).
     """
     if not state.feasible:
         raise Infeasible("dual Hessian undefined: shifted matrix is not positive definite")
-    inv = spd_solve(state.factor, np.eye(state.factor.n))
+    factor = spd_factorize(q_of_lambda(state.q, state.lam))
+    inv = spd_solve(factor, np.eye(factor.n))
     x = state.x_of_lambda
     h = -(x[:, None] * inv * x[None, :])
     return 0.5 * (h + h.T)

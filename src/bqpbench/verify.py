@@ -4,13 +4,13 @@ A certificate ``(x, lam)`` proves ``x`` globally optimal when the shifted
 matrix is positive definite, ``(Q + diag(lam)) x = c``, and ``x`` is a
 sign vector; those conditions force the primal-dual gap to zero.
 :func:`check_certificate` makes that decision on a dual state that is
-already factorized; :func:`verify_certificate` factorizes a stored
-certificate's shift and asks it, and the solver asks it on its final
+already built; :func:`verify_certificate` builds one for a stored
+certificate and asks it, and the solver asks it on its final
 state, so both certify by the same rule.  The
 same inverse condition can be phrased as positive semidefiniteness of the
 bordered block ``[[Q+diag(lam), c], [c', t]]`` for ``t`` at least
 ``c'(Q+diag(lam))^-1 c``, which this module decides through the block's
-Schur complement with the same Cholesky witness as the certificate check.
+Schur complement with the same dual state as the certificate check.
 Both checks get their dual state from :func:`model.is_dual_feasible`,
 which memoizes the last feasible state on the instance: at the ``lam``
 the solver just returned, or the one the other check just used, neither
@@ -66,8 +66,8 @@ def inertia_note(q: np.ndarray) -> str:
 
 def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6) -> VerifyReport:
     """The four certificate checks of ``(x, state.lam)``, for a length-n
-    float vector ``x`` and a dual state that is already factorized (no
-    factorization here).
+    float vector ``x`` and a dual state from :func:`is_dual_feasible`
+    (no factorization here).
 
     pd_ok: ``state`` is feasible; stationary_ok: the residual
     ``(Q + diag(lam)) x - c`` has sup-norm at most ``tol * (1 + ||c||_inf)``

@@ -103,9 +103,54 @@ def test_reported_arrays_are_read_only():
     inst, _ = generate_instance(GenConfig(n=30, seed=2))
     report = solve_dual(inst)
     state = is_dual_feasible(inst, report.lam)
-    for owned in (report.lam, report.x_raw, state.x_of_lambda, state.factor.lower):
+    for owned in (report.lam, report.x_raw, state.x_of_lambda):
         with pytest.raises(ValueError, match="read-only"):
             owned[0] = 0.0
+
+
+def traced_generate_and_solve(n):
+    """Bytes still traced after generate_instance, and the traced peak of
+    solve_dual on its instance, both above the memory traced before."""
+    import tracemalloc
+
+    solve_dual(generate_instance(GenConfig(n=4, seed=0))[0])  # lazy imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inst, _ = generate_instance(GenConfig(n=n, seed=0))
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        report = solve_dual(inst)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.status is SolveStatus.CERTIFIED
+    return held, peak
+
+
+def test_generated_instance_holds_one_n_by_n_array():
+    # Q itself; the planted dual state in the memo is two vectors.
+    held, _ = traced_generate_and_solve(400)
+    assert held < 1.5 * 400 * 400 * 8
+
+
+def test_solve_holds_one_trial_matrix_beside_q():
+    # Q and the trial point's shifted copy, factorized in place; the
+    # states the ascent keeps hold no factor.
+    _, peak = traced_generate_and_solve(400)
+    assert peak < 2.5 * 400 * 400 * 8
+
+
+def test_hessian_of_a_memoized_state_factorizes_afresh():
+    from bqpbench import dual_hessian, q_of_lambda, spd_factorize, spd_solve
+
+    inst, cert = generate_instance(GenConfig(n=40, seed=6))
+    state = is_dual_feasible(inst, cert.lam)
+    assert is_dual_feasible(inst, cert.lam) is state  # the generator's memo
+    m = spd_solve(spd_factorize(q_of_lambda(inst.q, cert.lam)), np.eye(inst.n))
+    x = state.x_of_lambda
+    np.testing.assert_allclose(dual_hessian(state), -(x[:, None] * m * x[None, :]),
+                               rtol=1e-12, atol=1e-15 * np.abs(m).max())
 
 
 def test_writing_into_a_passed_lambda_refactorizes(factorizations):

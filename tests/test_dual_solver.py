@@ -28,7 +28,8 @@ class TestInitialPoint:
     def test_zero_matrix(self):
         state = initial_point(BqpInstance(np.zeros((4, 4)), np.ones(4)))
         np.testing.assert_array_equal(state.lam, np.ones(4))
-        np.testing.assert_array_equal(state.factor.lower, np.eye(4))
+        # Q + diag(1) = I, so x(lam) = c.
+        np.testing.assert_array_equal(state.x_of_lambda, np.ones(4))
 
     def test_scalar(self):
         state = initial_point(BqpInstance([[-5.0]], [1.0]))
@@ -184,8 +185,7 @@ class TestSolveBehavior:
         from bqpbench import DualState, NoFeasibleStart
 
         def never_feasible(inst, lam):
-            return DualState(lam=np.asarray(lam, float), feasible=False,
-                             factor=None, x_of_lambda=None)
+            return DualState(lam=np.asarray(lam, float), q=inst.q, x_of_lambda=None)
 
         monkeypatch.setattr(ds, "is_dual_feasible", never_feasible)
         inst = BqpInstance(np.eye(2), [1.0, 1.0])

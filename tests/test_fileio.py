@@ -328,6 +328,19 @@ class TestBenchCsv:
         assert lines[2].startswith("2,1,")
         assert lines[2].endswith(",false")
 
+    @pytest.mark.parametrize("bad", [
+        dict(n=2.5), dict(seed=-1.5), dict(seed=-1), dict(seed=1.0),
+        dict(iterations=float("inf")), dict(iterations=-1), dict(iterations=2.0),
+        dict(gen_millis=float("nan")), dict(solve_millis=float("nan")),
+        dict(gen_millis=float("inf")), dict(solve_millis=-1.0),
+    ])
+    def test_record_rejects_bad_fields(self, bad):
+        fields = dict(n=2, seed=0, gen_millis=1.0, solve_millis=1.0,
+                      iterations=3, gap=0.0, certified=True)
+        BenchRecord(**fields)
+        with pytest.raises(ValueError):
+            BenchRecord(**{**fields, **bad})
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
             BenchRecord(n=0, seed=0, gen_millis=0.0, solve_millis=0.0,

@@ -148,13 +148,13 @@ class TestFeasibility:
     def test_example1_planted_multipliers(self, example1):
         state = is_dual_feasible(example1, gold.LAMBDA1_INT)
         assert state.feasible
-        assert state.factor is not None
+        assert state.x_of_lambda is not None
         np.testing.assert_allclose(state.x_of_lambda, gold.X1, atol=1e-12)
 
     def test_zero_multipliers_infeasible(self, example1):
         state = is_dual_feasible(example1, np.zeros(5))
         assert not state.feasible
-        assert state.factor is None and state.x_of_lambda is None
+        assert state.x_of_lambda is None
 
     def test_unit_shift_of_zero_matrix(self):
         inst = BqpInstance(np.zeros((2, 2)), [1.0, 0.0])
@@ -165,13 +165,14 @@ class TestFeasibility:
         # ValueError from the factorization's input check.
         state = is_dual_feasible(BqpInstance([[1e308]], [1.0]), [1e308])
         assert state.feasible is False
-        assert state.factor is None and state.x_of_lambda is None
+        assert state.x_of_lambda is None
 
     def test_one_n_by_n_array_per_dual_point(self):
         # The shifted matrix is factorized in place: no second n x n copy.
         import tracemalloc
 
         inst, cert = generate_instance(GenConfig(n=400, seed=0))
+        inst = BqpInstance(inst.q, inst.c)  # an empty memo, so the point is factorized
         tracemalloc.start()
         try:
             state = is_dual_feasible(inst, cert.lam)
@@ -179,7 +180,7 @@ class TestFeasibility:
         finally:
             tracemalloc.stop()
         assert state.feasible
-        assert peak < 1.5 * state.factor.lower.nbytes
+        assert peak < 1.5 * inst.n * inst.n * 8
 
 
 class TestWeakDuality:
