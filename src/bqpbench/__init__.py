@@ -1,8 +1,10 @@
 """Boolean quadratic programming benchmarks with planted, certifiable optima.
 
 Generate random instances whose global minimizer is known by
-construction, maximize the Lagrangian dual with a feasibility-preserving
-Newton method, and verify zero-duality-gap optimality certificates.
+construction; solve by testing the multipliers that make a descended
+sign vector stationary, or else by maximizing the Lagrangian dual with a
+feasibility-preserving Newton method; and verify zero-duality-gap
+optimality certificates.
 """
 
 from .dual_solver import (

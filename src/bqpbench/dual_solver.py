@@ -1,20 +1,32 @@
-"""Damped Newton maximization of the dual function over the feasible cone.
+"""Primal-first certification, then damped Newton maximization of the dual.
 
-The dual is smooth and concave where the shifted matrix is positive
-definite, and that set is open, so every step is backtracked first into
-feasibility and then until an Armijo ascent condition holds.  The
-Newton direction needs no second factorization: with ``X = diag(x(lam))``
-the negated Hessian is ``X (Q + diag(lam))^-1 X``, so the step solving
-``-H d = grad`` is ``X^-1 (Q + diag(lam)) X^-1 grad``, one matrix-vector
+A sign vector ``x`` is globally optimal when ``Q + diag(lam)`` is
+positive definite and ``(Q + diag(lam)) x = c``.  Read backwards, ``x``
+fixes ``lam(x) = x * (c - Qx)``, so one Cholesky decides ``x``: the
+primal try descends greedily by single flips (flipping ``x_i`` changes
+the objective by ``2 (lam(x)_i + Q_ii)``) and asks
+:func:`verify.check_certificate` about ``lam(x)``.  The solver tries
+``sign(c)`` first, the rounding of ``x(t e) = (Q + t I)^-1 c`` as ``t``
+grows, which costs no factorization before the test; on a generated
+instance its ``lam(x)`` is the planted multipliers, whose dual state the
+instance already holds.
+
+Otherwise the dual is maximized from a diagonally dominant start.  It is
+smooth and concave where the shifted matrix is positive definite, and
+that set is open, so every step is backtracked first into feasibility
+and then until an Armijo ascent condition holds.  The Newton direction
+needs no second factorization: with ``X = diag(x(lam))`` the negated
+Hessian is ``X (Q + diag(lam))^-1 X``, so the step solving ``-H d =
+grad`` is ``X^-1 (Q + diag(lam)) X^-1 grad``, one matrix-vector
 product.  When some ``|x_i(lam)|`` falls below ``1e-3`` that formula
 divides by near-zeros (and ``-H`` is singular at an exact zero), so the
 solver steps along the gradient instead; it never forms a matrix other
 than ``Q + diag(lam)``.  The ascent stops at a stationary point, at the
-iteration budget, or at a step that leaves ``lam`` bitwise unchanged,
-which every later iteration would repeat.  At a stationary point the
-solved vector ``x(lam)`` has unit entries; its rounding to signs is
-certified globally optimal by :func:`verify.check_certificate` on the
-final dual state, the rule that checks stored certificates too.
+iteration budget, or at a step that leaves the dual value bitwise
+unchanged.  At a stationary point the solved vector ``x(lam)`` has unit
+entries; its rounding to signs is certified by the same check on the
+final dual state.  Where the ascent stops without a certificate, the
+primal try runs once more on the rounding of the final ``x(lam)``.
 """
 
 from __future__ import annotations
@@ -77,14 +89,19 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
-    """Outcome of one dual maximization.
+    """Outcome of one solve: a certifying primal try, or the dual ascent.
 
-    ``x`` is the rounded sign vector when rounding succeeded, else None;
-    ``x_raw`` is the pre-rounding solve ``x(lam)``.  ``primal_value``
-    and ``gap`` (primal minus dual) come from the certificate check and
-    are NaN when ``x`` is None.  ``iterations`` counts the steps that
-    moved ``lam``; ``dual_trace`` holds the dual value at the start plus
-    after each of them.
+    ``x`` is the certified sign vector, or else the rounding of the
+    ascent's ``x_raw`` when every entry rounds, else None; ``x_raw`` is
+    the solve ``x(lam)`` at the reported ``lam``.  ``primal_value`` and
+    ``gap`` (primal minus dual) come from the certificate check and are
+    NaN when ``x`` is None.  ``iterations`` counts the ascent steps that
+    raised the dual (0 when the first primal try certified); ``dual_trace``
+    holds the dual value at the start and after each of them, then the
+    value at a certifying primal try's ``lam(x)``, so its last entry is
+    always ``dual_value``.  The ascent's entries rise; a certificate's
+    value equals f(x) and can lie a rounding error below them.  A primal
+    try that fails changes nothing.
     """
 
     lam: np.ndarray
@@ -132,6 +149,47 @@ def _ascent_direction(inst: BqpInstance, state: DualState, grad: np.ndarray) -> 
     return (inst.q @ v + state.lam * v) / x
 
 
+def _signs(v: np.ndarray) -> np.ndarray:
+    """Round to a sign vector, with 0 -> +1."""
+    return np.where(v < 0.0, -1.0, 1.0)
+
+
+def _primal_try(inst: BqpInstance, x: np.ndarray, iterations: int, trace: list[float]):
+    """Certify the 1-flip local minimum that greedy descent reaches from ``x``.
+
+    Each step flips the coordinate whose flip lowers the objective most,
+    ``2 (lam(x)_i + Q_ii)`` with ``lam(x) = x * (c - Qx)``, at most n
+    times, updating ``Qx`` by one row of the symmetric ``Q`` per flip.
+    Then one :func:`is_dual_feasible` test at ``lam(x)`` and
+    :func:`verify.check_certificate` decide.  Returns a Certified report
+    that appends ``g(lam(x))`` to ``trace``, or None, also when ``lam(x)``
+    overflows.  ``x`` is overwritten.
+    """
+    q, c, diag = inst.q, inst.c, inst.q.diagonal()
+    with np.errstate(over="ignore", invalid="ignore"):
+        qx = q @ x
+        for _ in range(inst.n):
+            change = x * (c - qx) + diag
+            i = int(np.argmin(change))
+            if not change[i] < 0.0:
+                break
+            x[i] = -x[i]
+            qx += (2.0 * x[i]) * q[i]
+        lam = x * (c - qx)
+    if not np.isfinite(lam).all():
+        return None
+    state = is_dual_feasible(inst, lam)
+    check = check_certificate(inst, x, state)
+    if not check.overall:
+        return None
+    value = dual_value(state, inst)
+    return SolveReport(
+        lam=state.lam, x=x, x_raw=state.x_of_lambda, primal_value=check.primal,
+        dual_value=value, gap=check.gap, iterations=iterations,
+        status=SolveStatus.CERTIFIED, dual_trace=[*trace, value],
+    )
+
+
 def _backtrack(inst, state, value, grad, direction):
     """Shrink the step until the trial point is feasible and Armijo holds.
 
@@ -154,22 +212,29 @@ def _backtrack(inst, state, value, grad, direction):
 
 
 def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveReport:
-    """Maximize the dual and try to certify a global primal solution.
+    """Certify a global primal solution, or maximize the dual trying.
 
-    Newton iterations ``lam <- lam + t*d`` with ``-H d = grad`` (closed
-    form, see the module docstring) run until the gradient sup-norm drops
-    below ``opts.grad_tol``, the budget is spent, or a step leaves ``lam``
-    bitwise unchanged (MaxIterations, as a full budget of repeats would
-    report).  The gradient is tested after the last step too, so a run
-    that becomes stationary on its final iteration is still certified.
-    A Newton backtrack in which no trial passes falls back to a plain
-    gradient step.  At a stationary point the primal is
-    recovered from the cached solve and rounded (every entry within
-    ``_SIGN_TOL`` of +/-1, else ``x`` is None); the report is Certified
-    only when the rounding passes :func:`verify.check_certificate` on the
-    final state, which reuses its ``x(lam)`` and gives f(x) and the gap.
+    The primal try on ``sign(c)`` (0 -> +1) comes first; when it
+    certifies, no ascent runs.  Otherwise Newton iterations ``lam <- lam
+    + t*d`` with ``-H d = grad`` (closed form, see the module docstring)
+    run from :func:`initial_point` until the gradient sup-norm drops
+    below ``opts.grad_tol``, the budget is spent, or an accepted step
+    leaves the dual value bitwise unchanged (MaxIterations, as a full
+    budget of such steps would report).  The gradient is tested after
+    the last step too, so a run that becomes stationary on its final
+    iteration is still certified.  A Newton backtrack in which no trial
+    passes falls back to a plain gradient step.  At a stationary point
+    the primal is recovered from the cached solve and rounded (every
+    entry within ``_SIGN_TOL`` of +/-1, else ``x`` is None); it is
+    Certified when the rounding passes :func:`verify.check_certificate`
+    on the final state, which reuses its ``x(lam)`` and gives f(x) and
+    the gap.  Any other stop runs the primal try on the rounding of the
+    final ``x(lam)``; if that fails too, the ascent's report stands.
     """
     opts = opts or SolveOptions()
+    first = _primal_try(inst, _signs(inst.c), 0, [])
+    if first is not None:
+        return first
     try:
         state = initial_point(inst)
     except NoFeasibleStart:
@@ -193,7 +258,7 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
         step = _backtrack(inst, state, value, grad, direction)
         if step is None and direction is not grad:
             step = _backtrack(inst, state, value, grad, grad)
-        if step is None or np.array_equal(step[0].lam, state.lam):
+        if step is None or step[1] == value:
             break
         state, value = step
         iterations += 1
@@ -206,9 +271,13 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     if x is not None:
         check = check_certificate(inst, x, state)
         primal, gap, certified = check.primal, check.gap, check.overall
-    status = SolveStatus.MAX_ITERATIONS
-    if stationary:
-        status = SolveStatus.CERTIFIED if certified else SolveStatus.STATIONARY_NOT_BOOLEAN
+    if stationary and certified:
+        status = SolveStatus.CERTIFIED
+    else:
+        tried = _primal_try(inst, _signs(x_raw), iterations, trace)
+        if tried is not None:
+            return tried
+        status = SolveStatus.STATIONARY_NOT_BOOLEAN if stationary else SolveStatus.MAX_ITERATIONS
     return SolveReport(
         lam=state.lam, x=x, x_raw=x_raw, primal_value=primal, dual_value=value,
         gap=gap, iterations=iterations, status=status, dual_trace=trace,

@@ -7,6 +7,11 @@ the linear term to ``Qx + lam * x``.  :func:`model.is_dual_feasible`, the
 test the solver and ``verify`` use, confirms the shift positive definite
 and memoizes ``x(lam)``, so the planted pair ``(x, lam)`` makes ``x`` the
 unique global minimizer and every instance ships with its certificate.
+The solver's first primal try reads that memo: ``c_i x_i >= margin >= 0``,
+so ``sign(c)`` is the planted ``x`` wherever ``c_i != 0``, its 1-flip
+descent almost always mends the rest, and at the planted ``x`` the try's
+``x * (c - Qx)`` is bitwise the planted ``lam`` while the data stay below
+2**53 in magnitude.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     attempt repeats the final draw with every multiplier bumped by 1, which
     makes the integer shift strictly dominant.  The returned instance holds
     the planted dual state (``lam``, ``x(lam)``) in its memo, so checking
-    the certificate right away factorizes nothing.  A draw whose Q, lam or
+    the certificate or solving the instance right away factorizes nothing.  A draw whose Q, lam or
     c is not finite (a ``base`` too large for float64), or whose n x n
     matrix cannot be allocated, raises :class:`GenerationFailed`.
     """

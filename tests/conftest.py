@@ -1,9 +1,10 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bqpbench import BqpInstance, dual_value, is_dual_feasible
+from bqpbench import BqpInstance, GenConfig, dual_value, generate_instance, is_dual_feasible
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -15,6 +16,43 @@ def fixtures_dir() -> Path:
 
 def load_fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def spectral_instance(n, seed, margin=1.0):
+    """Q and x from the generator, planted at lam = (ceil(-lambda_min(Q)) + margin) * e."""
+    inst, cert = generate_instance(GenConfig(n=n, seed=seed))
+    lam = np.full(n, math.ceil(-np.linalg.eigvalsh(inst.q)[0]) + margin)
+    return BqpInstance(inst.q, (inst.q + np.diag(lam)) @ cert.x), cert.x
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every spd_factorize call; the generator's go through the model too."""
+    import bqpbench.model
+
+    calls = []
+    real = bqpbench.model.spd_factorize
+    monkeypatch.setattr(bqpbench.model, "spd_factorize", lambda a, **kw: calls.append(1) or real(a, **kw))
+    return calls
+
+
+@pytest.fixture
+def first_try_off(monkeypatch):
+    """Turn off solve_dual's primal try on sign(c), the one made with an
+    empty trace, so the ascent runs; the try where it stops still runs."""
+    import bqpbench.dual_solver as ds
+
+    real = ds._primal_try
+    monkeypatch.setattr(ds, "_primal_try",
+                        lambda inst, x, iterations, trace: real(inst, x, iterations, trace) if trace else None)
+
+
+def report_bits(report) -> bytes:
+    """Every field of a SolveReport as bytes, for bitwise comparison."""
+    parts = [np.array([report.primal_value, report.dual_value, report.gap, *report.dual_trace]),
+             np.array([report.iterations]), report.lam, report.x, report.x_raw]
+    bits = b"".join(b"-" if a is None else np.ascontiguousarray(a).tobytes() for a in parts)
+    return bits + report.status.value.encode()
 
 
 def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:

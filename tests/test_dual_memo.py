@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import report_bits, spectral_instance
 from bqpbench import (
     BqpInstance,
     Certificate,
@@ -16,24 +17,6 @@ from bqpbench import (
 )
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Every spd_factorize call; the generator's go through the model too."""
-    import bqpbench.model
-
-    calls = []
-    real = bqpbench.model.spd_factorize
-    monkeypatch.setattr(bqpbench.model, "spd_factorize", lambda a, **kw: calls.append(1) or real(a, **kw))
-    return calls
-
-
-def report_bits(report) -> bytes:
-    parts = [np.array([report.primal_value, report.dual_value, report.gap, *report.dual_trace]),
-             np.array([report.iterations]), report.lam, report.x, report.x_raw]
-    bits = b"".join(b"-" if a is None else np.ascontiguousarray(a).tobytes() for a in parts)
-    return bits + report.status.value.encode()
-
-
 def stalled_unplanted():
     q = generate_instance(GenConfig(n=10, seed=3))[0].q
     c = np.round(10.0 * np.random.default_rng([3, 3]).standard_normal(10))
@@ -42,22 +25,24 @@ def stalled_unplanted():
 
 def stalled_spectral():
     # Planted at lam = (ceil(-lambda_min(Q)) + 1) * e, next to the PD
-    # boundary; the ascent stalls there and meets memo hits on the way.
-    inst, cert = generate_instance(GenConfig(n=8, seed=4))
-    lam = np.full(8, np.ceil(-np.linalg.eigvalsh(inst.q)[0]) + 1.0)
-    return BqpInstance(inst.q, (inst.q + np.diag(lam)) @ cert.x)
+    # boundary; the ascent stalls there and meets memo hits on the way,
+    # and the primal try where it stops certifies the planted x.
+    return spectral_instance(8, 4)[0]
 
 
 def test_pipeline_factorizes_each_dual_point_once(factorizations):
-    # generate (1), solve_dual (start point + 2 trials); verify_certificate
-    # and schur_block_psd at the solver's lam reuse its final factor.
+    # generate (1); solve_dual's first primal try reaches the planted lam,
+    # whose dual state the generator left in the memo, and verify_certificate
+    # and schur_block_psd at that lam reuse it too.
     inst, cert = generate_instance(GenConfig(n=200, seed=1))
     report = solve_dual(inst)
     assert report.status is SolveStatus.CERTIFIED
     assert verify_certificate(inst, Certificate(x=report.x, lam=report.lam)).overall
     is_psd, _ = schur_block_psd(inst, report.lam, float(inst.c @ report.x_raw) + 1.0)
     assert is_psd
-    assert len(factorizations) == 4
+    assert report.iterations == 0
+    np.testing.assert_array_equal(report.lam, cert.lam)
+    assert len(factorizations) == 1
 
 
 @pytest.mark.parametrize("make", [
@@ -65,12 +50,14 @@ def test_pipeline_factorizes_each_dual_point_once(factorizations):
     stalled_spectral,
     lambda: BqpInstance([[2, 1], [1, 3]], [0, 0]),
 ])
-def test_repeated_solves_are_bitwise_identical(monkeypatch, make):
+def test_repeated_solves_are_bitwise_identical(monkeypatch, first_try_off, make):
     # A memo hit can hand back the very state the ascent holds; the solver
     # must take the same path as without the memo, where every feasibility
-    # test factorizes on a fresh instance.
+    # test factorizes on a fresh instance.  The first primal try is off, so
+    # the ascent runs.
     import bqpbench.dual_solver as ds
 
+    expected = SolveStatus.CERTIFIED if make is stalled_spectral else SolveStatus.MAX_ITERATIONS
     tests = []
     monkeypatch.setattr(ds, "is_dual_feasible", lambda inst, lam: tests.append(1) or is_dual_feasible(inst, lam))
     inst = make()
@@ -83,7 +70,7 @@ def test_repeated_solves_are_bitwise_identical(monkeypatch, make):
                 lambda inst, lam: tests.append(1) or is_dual_feasible(BqpInstance(inst.q, inst.c), lam))
         tests.clear()
         report = ds.solve_dual(target)
-        assert report.status is SolveStatus.MAX_ITERATIONS
+        assert report.status is expected and report.iterations > 0
         reports.append(report_bits(report))
         counts.append(len(tests))
     assert reports[0] == reports[1] == reports[2] == reports[3]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import golden_data as gold
+from conftest import report_bits, spectral_instance
 from bqpbench import (
     BqpInstance,
     GenConfig,
@@ -16,7 +17,16 @@ from bqpbench import (
     Certificate,
     dual_gradient,
     dual_hessian,
+    objective_value,
 )
+
+
+def unplanted_instance(n, seed):
+    """Q from the generator and an independent nonzero integer c."""
+    q = generate_instance(GenConfig(n=n, seed=seed))[0].q
+    c = np.round(10.0 * np.random.default_rng([seed, 3]).standard_normal(n))
+    c[c == 0] = 1.0
+    return BqpInstance(q, c)
 
 
 class TestInitialPoint:
@@ -163,7 +173,7 @@ class TestSolveBehavior:
         assert report.dual_value == pytest.approx(1.0857864376264048, abs=1e-12)
         assert len(report.dual_trace) == report.iterations + 1
 
-    def test_stationary_after_last_allowed_step_is_certified(self):
+    def test_stationary_after_last_allowed_step_is_certified(self, first_try_off):
         # The second step reaches |g| ~ 3e-9 < grad_tol; the budget of two
         # steps is spent, but the point is stationary and must certify.
         inst, cert = generate_instance(GenConfig(n=50, seed=3))
@@ -203,9 +213,10 @@ class TestSolveBehavior:
 
 
 class TestCertification:
-    def test_certify_decision_comes_from_check_certificate(self, monkeypatch):
+    def test_certify_decision_comes_from_check_certificate(self, monkeypatch, first_try_off):
         # The final state goes to check_certificate as is; its verdict, not
-        # a gap test of the solver's own, decides the status.
+        # a gap test of the solver's own, decides the status.  The primal
+        # try where the ascent stops asks it too, and is refused too.
         import bqpbench.dual_solver as ds
         from bqpbench.verify import check_certificate
 
@@ -221,7 +232,7 @@ class TestCertification:
         report = ds.solve_dual(BqpInstance(gold.Q1, gold.C1))
         assert report.status is SolveStatus.STATIONARY_NOT_BOOLEAN
         np.testing.assert_array_equal(report.x, gold.X1)
-        assert len(seen) == 1 and seen[0].lam is report.lam and seen[0].feasible
+        assert len(seen) == 2 and seen[0].lam is report.lam and seen[0].feasible
         assert report.gap == check_certificate(BqpInstance(gold.Q1, gold.C1), report.x, seen[0]).gap
 
     def test_rounding_gives_exact_signs(self):
@@ -241,17 +252,90 @@ class TestCertification:
         (lambda: generate_instance(GenConfig(n=50, seed=0))[0], 3),
         (lambda: generate_instance(GenConfig(n=200, seed=1))[0], 3),
     ])
-    def test_factorizations_per_solve(self, monkeypatch, make, count):
-        # The start point plus one per trial point; certifying adds none.
-        import bqpbench.model
-
+    def test_factorizations_per_solve(self, factorizations, first_try_off, make, count):
+        # The ascent: the start point plus one per trial point; certifying
+        # adds none.
         inst = make()
-        calls = []
-        real = bqpbench.model.spd_factorize
-        monkeypatch.setattr(bqpbench.model, "spd_factorize", lambda a, **kw: calls.append(1) or real(a, **kw))
+        factorizations.clear()
+        report = solve_dual(inst)
+        assert report.status is SolveStatus.CERTIFIED and report.iterations > 0
+        assert len(factorizations) == count
+
+    @pytest.mark.parametrize("make,count", [
+        (lambda: BqpInstance(gold.Q1, gold.C1), 1),
+        (lambda: BqpInstance(gold.Q2, gold.C2), 1),
+        (lambda: BqpInstance(gold.Q3, gold.C3), 1),
+        (lambda: generate_instance(GenConfig(n=12, seed=9))[0], 0),
+        (lambda: generate_instance(GenConfig(n=50, seed=0))[0], 0),
+        (lambda: generate_instance(GenConfig(n=200, seed=1))[0], 0),
+    ])
+    def test_first_primal_try_factorizations(self, factorizations, make, count):
+        # One factorization at lam(x), or none on a generated instance,
+        # whose memo holds the planted lam.
+        inst = make()
+        factorizations.clear()
+        report = solve_dual(inst)
+        assert report.status is SolveStatus.CERTIFIED and report.iterations == 0
+        assert len(factorizations) == count
+
+
+class TestPrimalTry:
+    @pytest.mark.parametrize("n,seeds", [(50, range(8)), (200, range(2))])
+    def test_spectral_instances_certify_the_planted_x(self, n, seeds):
+        for seed in seeds:
+            inst, x = spectral_instance(n, seed)
+            report = solve_dual(inst)
+            assert report.status is SolveStatus.CERTIFIED
+            np.testing.assert_array_equal(report.x, x)
+            assert report.dual_trace[-1] == report.dual_value
+
+    def test_fixed_point_of_the_ascent_is_certified(self, first_try_off):
+        # Margin 1000: the ascent reaches a fixed point with |g| ~ 2.1e-8, just
+        # above grad_tol (14 steps when only an unmoved lam ended the ascent;
+        # fewer since a step that leaves the dual value unchanged ends it);
+        # the try where it stops certifies.
+        inst, x = spectral_instance(50, 1132797281, margin=1000.0)
         report = solve_dual(inst)
         assert report.status is SolveStatus.CERTIFIED
-        assert len(calls) == count
+        assert 0 < report.iterations <= 14
+        assert len(report.dual_trace) == report.iterations + 2
+        np.testing.assert_array_equal(report.x, x)
+        assert report.dual_trace[-1] == report.dual_value
+        assert verify_certificate(inst, Certificate(x=report.x, lam=report.lam)).overall
+
+    def test_failed_tries_change_nothing(self, monkeypatch):
+        # Unplanted instances have no certificate; the report must be the
+        # ascent's, bit for bit.
+        import bqpbench.dual_solver as ds
+
+        reports = []
+        for tries in (ds._primal_try, lambda *args: None):
+            monkeypatch.setattr(ds, "_primal_try", tries)
+            reports.append(ds.solve_dual(unplanted_instance(24, 11)))
+        assert reports[0].status is SolveStatus.MAX_ITERATIONS
+        assert report_bits(reports[0]) == report_bits(reports[1])
+
+    def test_descent_reaches_a_one_flip_local_minimum(self):
+        import bqpbench.dual_solver as ds
+
+        for seed in range(4):
+            inst = unplanted_instance(12, seed)
+            x = np.ones(12)
+            ds._primal_try(inst, x, 0, [])
+            f = objective_value(inst, x)
+            for i in range(12):
+                flipped = x.copy()
+                flipped[i] = -flipped[i]
+                assert objective_value(inst, flipped) >= f
+
+    def test_flat_step_ends_the_ascent(self):
+        # The gradient fallback crawled here for all 100 iterations with
+        # steps of about 3.6e-15 that left the dual value unchanged.
+        report = solve_dual(unplanted_instance(24, 2746936418))
+        assert report.status is SolveStatus.MAX_ITERATIONS
+        assert report.iterations < 100
+        assert report.dual_value == pytest.approx(-1491.613852547064, rel=1e-12, abs=0.0)
+        assert len(report.dual_trace) == report.iterations + 1
 
 
 class TestNewtonDirection:
