@@ -23,10 +23,8 @@ divides by near-zeros (and ``-H`` is singular at an exact zero), so the
 solver steps along the gradient instead; it never forms a matrix other
 than ``Q + diag(lam)``.  The ascent stops at a stationary point, at the
 iteration budget, or at a step that leaves the dual value bitwise
-unchanged.  At a stationary point the solved vector ``x(lam)`` has unit
-entries; its rounding to signs is certified by the same check on the
-final dual state.  Where the ascent stops without a certificate, the
-primal try runs once more on the rounding of the final ``x(lam)``.
+unchanged.  Wherever it stops, the primal try runs once more, on the
+signs of the final ``x(lam)``; it is the only way a solve certifies.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from .verify import check_certificate
 _MAX_BACKTRACKS = 60
 _BACKTRACK_FACTOR = 0.5
 _ARMIJO_COEFF = 1e-4
-_SIGN_TOL = 1e-4
 _MAX_SHIFT_DOUBLINGS = 60
 # Below this min |x_i(lam)| the closed-form step divides by near-zeros.
 _CLOSED_FORM_MIN_X = 1e-3
@@ -71,11 +68,10 @@ class SolveStatus(str, Enum):
 class SolveOptions:
     """Stopping rule of :func:`solve_dual`.
 
-    The line search and rounding are module constants: each backtrack
-    scales the step by ``_BACKTRACK_FACTOR = 0.5``, at most
-    ``_MAX_BACKTRACKS = 60`` times; a step is accepted when the Armijo
-    condition with ``_ARMIJO_COEFF = 1e-4`` holds; and rounding accepts
-    entries within ``_SIGN_TOL = 1e-4`` of +/-1.
+    The line search is set by module constants: each backtrack scales
+    the step by ``_BACKTRACK_FACTOR = 0.5``, at most
+    ``_MAX_BACKTRACKS = 60`` times, and a step is accepted when the
+    Armijo condition with ``_ARMIJO_COEFF = 1e-4`` holds.
     """
 
     grad_tol: float = 1e-8
@@ -91,17 +87,16 @@ class SolveOptions:
 class SolveReport:
     """Outcome of one solve: a certifying primal try, or the dual ascent.
 
-    ``x`` is the certified sign vector, or else the rounding of the
-    ascent's ``x_raw`` when every entry rounds, else None; ``x_raw`` is
-    the solve ``x(lam)`` at the reported ``lam``.  ``primal_value`` and
-    ``gap`` (primal minus dual) come from the certificate check and are
-    NaN when ``x`` is None.  ``iterations`` counts the ascent steps that
-    raised the dual (0 when the first primal try certified); ``dual_trace``
-    holds the dual value at the start and after each of them, then the
-    value at a certifying primal try's ``lam(x)``, so its last entry is
-    always ``dual_value``.  The ascent's entries rise; a certificate's
-    value equals f(x) and can lie a rounding error below them.  A primal
-    try that fails changes nothing.
+    ``x`` is the certified sign vector, and None unless the status is
+    Certified; ``x_raw`` is the solve ``x(lam)`` at the reported ``lam``.
+    ``primal_value`` and ``gap`` (primal minus dual) come from the
+    certificate check and are NaN when ``x`` is None.  ``iterations``
+    counts the ascent steps that raised the dual (0 when the first primal
+    try certified); ``dual_trace`` holds the dual value at the start and
+    after each of them, then the value at a certifying primal try's
+    ``lam(x)``, so its last entry is always ``dual_value``.  The ascent's
+    entries rise; a certificate's value equals f(x) and can lie a
+    rounding error below them.  A primal try that fails changes nothing.
     """
 
     lam: np.ndarray
@@ -222,14 +217,12 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     leaves the dual value bitwise unchanged (MaxIterations, as a full
     budget of such steps would report).  The gradient is tested after
     the last step too, so a run that becomes stationary on its final
-    iteration is still certified.  A Newton backtrack in which no trial
-    passes falls back to a plain gradient step.  At a stationary point
-    the primal is recovered from the cached solve and rounded (every
-    entry within ``_SIGN_TOL`` of +/-1, else ``x`` is None); it is
-    Certified when the rounding passes :func:`verify.check_certificate`
-    on the final state, which reuses its ``x(lam)`` and gives f(x) and
-    the gap.  Any other stop runs the primal try on the rounding of the
-    final ``x(lam)``; if that fails too, the ascent's report stands.
+    iteration is reported stationary.  A Newton backtrack in which no
+    trial passes falls back to a plain gradient step.  Wherever the
+    ascent stops, the primal try runs on the signs of the final
+    ``x(lam)`` (0 -> +1) and certifies at ``lam(x)``.  If it fails, the
+    report holds the ascent's final ``lam``, no ``x`` and the status
+    StationaryNotBoolean or MaxIterations.
     """
     opts = opts or SolveOptions()
     first = _primal_try(inst, _signs(inst.c), 0, [])
@@ -264,21 +257,12 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
         iterations += 1
         trace.append(value)
 
-    x_raw = state.x_of_lambda
-    x = np.sign(x_raw) if np.abs(np.abs(x_raw) - 1.0).max() <= _SIGN_TOL else None
-    primal = gap = math.nan
-    certified = False
-    if x is not None:
-        check = check_certificate(inst, x, state)
-        primal, gap, certified = check.primal, check.gap, check.overall
-    if stationary and certified:
-        status = SolveStatus.CERTIFIED
-    else:
-        tried = _primal_try(inst, _signs(x_raw), iterations, trace)
-        if tried is not None:
-            return tried
-        status = SolveStatus.STATIONARY_NOT_BOOLEAN if stationary else SolveStatus.MAX_ITERATIONS
+    tried = _primal_try(inst, _signs(state.x_of_lambda), iterations, trace)
+    if tried is not None:
+        return tried
+    status = SolveStatus.STATIONARY_NOT_BOOLEAN if stationary else SolveStatus.MAX_ITERATIONS
     return SolveReport(
-        lam=state.lam, x=x, x_raw=x_raw, primal_value=primal, dual_value=value,
-        gap=gap, iterations=iterations, status=status, dual_trace=trace,
+        lam=state.lam, x=None, x_raw=state.x_of_lambda, primal_value=math.nan,
+        dual_value=value, gap=math.nan, iterations=iterations, status=status,
+        dual_trace=trace,
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import golden_data as gold
-from conftest import report_bits, spectral_instance
+from conftest import load_fixture_text, report_bits, spectral_instance
 from bqpbench import (
     BqpInstance,
     GenConfig,
@@ -18,6 +18,7 @@ from bqpbench import (
     dual_gradient,
     dual_hessian,
     objective_value,
+    parse_instance,
 )
 
 
@@ -214,16 +215,16 @@ class TestSolveBehavior:
 
 class TestCertification:
     def test_certify_decision_comes_from_check_certificate(self, monkeypatch, first_try_off):
-        # The final state goes to check_certificate as is; its verdict, not
-        # a gap test of the solver's own, decides the status.  The primal
-        # try where the ascent stops asks it too, and is refused too.
+        # The try where the ascent stops is the only certify path: it asks
+        # check_certificate once, at lam(x) rather than the ascent's state,
+        # and its verdict, not a gap test of the solver's own, decides.
         import bqpbench.dual_solver as ds
         from bqpbench.verify import check_certificate
 
         seen = []
 
         def refusing(inst, x, state):
-            seen.append(state)
+            seen.append((x, state))
             report = check_certificate(inst, x, state)
             report.overall = False
             return report
@@ -231,9 +232,13 @@ class TestCertification:
         monkeypatch.setattr(ds, "check_certificate", refusing)
         report = ds.solve_dual(BqpInstance(gold.Q1, gold.C1))
         assert report.status is SolveStatus.STATIONARY_NOT_BOOLEAN
-        np.testing.assert_array_equal(report.x, gold.X1)
-        assert len(seen) == 2 and seen[0].lam is report.lam and seen[0].feasible
-        assert report.gap == check_certificate(BqpInstance(gold.Q1, gold.C1), report.x, seen[0]).gap
+        assert report.x is None
+        assert np.isnan(report.primal_value) and np.isnan(report.gap)
+        assert len(seen) == 1
+        x, state = seen[0]
+        np.testing.assert_array_equal(x, gold.X1)
+        np.testing.assert_array_equal(state.lam, x * (gold.C1 - gold.Q1 @ x))
+        assert state.feasible and not np.array_equal(state.lam, report.lam)
 
     def test_rounding_gives_exact_signs(self):
         # x(lam) is near, not at, the signs; the reported x is exactly them.
@@ -252,14 +257,28 @@ class TestCertification:
         (lambda: generate_instance(GenConfig(n=50, seed=0))[0], 3),
         (lambda: generate_instance(GenConfig(n=200, seed=1))[0], 3),
     ])
-    def test_factorizations_per_solve(self, factorizations, first_try_off, make, count):
-        # The ascent: the start point plus one per trial point; certifying
-        # adds none.
+    def test_factorizations_per_solve(self, factorizations, monkeypatch, first_try_off, make, count):
+        # The ascent factorizes its start point and each trial point
+        # (``count``), and the try where it stops one more, at lam(x): one
+        # factorization per dual point, never two at the same lam.
+        import bqpbench.dual_solver as ds
+
         inst = make()
         factorizations.clear()
-        report = solve_dual(inst)
+        factorized = []
+
+        def recording(inst, lam):
+            before = len(factorizations)
+            state = is_dual_feasible(inst, lam)
+            if len(factorizations) > before:
+                factorized.append(np.asarray(lam, dtype=float).tobytes())
+            return state
+
+        monkeypatch.setattr(ds, "is_dual_feasible", recording)
+        report = ds.solve_dual(inst)
         assert report.status is SolveStatus.CERTIFIED and report.iterations > 0
-        assert len(factorizations) == count
+        assert len(factorizations) == len(factorized) == count + 1
+        assert len(set(factorized)) == len(factorized)
 
     @pytest.mark.parametrize("make,count", [
         (lambda: BqpInstance(gold.Q1, gold.C1), 1),
@@ -300,6 +319,21 @@ class TestPrimalTry:
         assert 0 < report.iterations <= 14
         assert len(report.dual_trace) == report.iterations + 2
         np.testing.assert_array_equal(report.x, x)
+        assert report.dual_trace[-1] == report.dual_value
+        assert verify_certificate(inst, Certificate(x=report.x, lam=report.lam)).overall
+
+    def test_first_try_miss_is_certified_where_the_ascent_stops(self):
+        # fixtures/ascent8.bqp: sign(c) is not the planted x, and the descent
+        # from it does not reach x, so the ascent runs; the try on the signs
+        # of its final x(lam) certifies x at exactly the planted lam.
+        f = parse_instance(load_fixture_text("ascent8.bqp"))
+        inst, cert = f.instance, f.certificate
+        assert (np.sign(inst.c) != cert.x).any()
+        report = solve_dual(inst)
+        assert report.status is SolveStatus.CERTIFIED
+        assert report.iterations == 8
+        np.testing.assert_array_equal(report.x, cert.x)
+        np.testing.assert_array_equal(report.lam, cert.lam)
         assert report.dual_trace[-1] == report.dual_value
         assert verify_certificate(inst, Certificate(x=report.x, lam=report.lam)).overall
 
