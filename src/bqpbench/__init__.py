@@ -8,7 +8,6 @@ optimality certificates.
 """
 
 from .dual_solver import (
-    NoFeasibleStart,
     SolveOptions,
     SolveReport,
     SolveStatus,
@@ -63,7 +62,6 @@ __all__ = [
     "GenerationFailed",
     "Infeasible",
     "InstanceFile",
-    "NoFeasibleStart",
     "NotPositiveDefinite",
     "OracleResult",
     "ParseError",

@@ -7,7 +7,12 @@ naming the flag.
 
 Exit codes: 0 success (solve: Certified; verify: all checks pass),
 1 failed generation/solve/verification, 2 invalid flags, 3 write failure,
-4 parse/read failure, 5 oracle refusal on oversized instances.
+4 parse/read failure (a byte that is not UTF-8 included), 5 oracle
+refusal (n above the cap, or objective values that overflow float64).
+The ``run_*`` functions return the outcome of a command that ran; a
+failure (``ParseError``, ``GenerationFailed``, ``WriteFailed``,
+``TooLarge``) propagates to :func:`main`, the one place that prints it
+and turns it into an exit code.
 """
 
 from __future__ import annotations
@@ -61,15 +66,16 @@ def _flag(read, ok, need: str, many: bool = False):
     return parse
 
 
-def _write_text(path: str, content: str) -> bool:
-    """Write ``content`` to ``path``; on failure report it and return False."""
+class WriteFailed(Exception):
+    """A file could not be written; the message names it and the reason."""
+
+
+def _write_text(path: str, content: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(content)
     except OSError as exc:
-        print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
+        raise WriteFailed(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _read_instance_file(path: str) -> InstanceFile:
@@ -78,6 +84,11 @@ def _read_instance_file(path: str) -> InstanceFile:
             text = handle.read()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        # ``read`` decodes the whole file at once, so ``object`` is all of
+        # its bytes; a line break is ASCII, never part of the bad bytes.
+        line = len(exc.object[: exc.end].splitlines())
+        raise ParseError(line, f"byte 0x{exc.object[exc.start]:02x} does not decode as UTF-8") from None
     return parse_instance(text)
 
 
@@ -136,11 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_gen(args) -> int:
     cfg = GenConfig(n=args.n, base=args.base, seed=args.seed, margin=args.margin)
-    try:
-        inst, cert = generate_instance(cfg)
-    except GenerationFailed as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    inst, cert = generate_instance(cfg)
     metadata = {"seed": str(args.seed), "base": format_number(args.base),
                 "margin": format_number(args.margin), "generator": f"bqpbench {__version__}"}
     content = serialize_instance(InstanceFile(
@@ -148,8 +155,7 @@ def run_gen(args) -> int:
         certificate=cert if args.with_certificate else None,
         metadata=metadata,
     ))
-    if not _write_text(args.out_path, content):
-        return EXIT_WRITE
+    _write_text(args.out_path, content)
     print(f"objective {format_number(objective_value(inst, cert.x))}")
     return EXIT_OK
 
@@ -170,8 +176,7 @@ def run_solve(args) -> int:
             certificate=Certificate(x=report.x, lam=report.lam),
             metadata={"solver": f"bqpbench {__version__}"},
         )
-        if not _write_text(args.emit_cert, serialize_instance(cert_file)):
-            return EXIT_WRITE
+        _write_text(args.emit_cert, serialize_instance(cert_file))
     return EXIT_OK if report.status is SolveStatus.CERTIFIED else EXIT_FAIL
 
 
@@ -191,11 +196,7 @@ def run_verify(args) -> int:
 def run_oracle(args) -> int:
     f = _read_instance_file(args.in_path)
     cap = f.instance.n if args.force else 25
-    try:
-        result = brute_force_minimize(f.instance, max_n=cap)
-    except TooLarge as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_TOO_LARGE
+    result = brute_force_minimize(f.instance, max_n=cap)
     print(f"best_x {format_row(result.best_x)}")
     print(f"best_value {format_number(result.best_value)}")
     print(f"minimizer_count {result.minimizer_count}")
@@ -218,19 +219,26 @@ def _bench_one(size: int, seed: int) -> BenchRecord:
 
 def run_bench(args) -> int:
     records = [_bench_one(size, seed) for size in args.sizes for seed in range(args.seeds)]
-    if not _write_text(args.csv_path, write_bench_csv(records)):
-        return EXIT_WRITE
+    _write_text(args.csv_path, write_bench_csv(records))
     print(f"wrote {args.csv_path} ({len(records)} rows)")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place a failure becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+        message, code = str(exc), EXIT_PARSE
+    except GenerationFailed as exc:
+        message, code = f"generation failed: {exc}", EXIT_FAIL
+    except WriteFailed as exc:
+        message, code = str(exc), EXIT_WRITE
+    except TooLarge as exc:
+        message, code = str(exc), EXIT_TOO_LARGE
+    print(message, file=sys.stderr)
+    return code
 
 
 def entry() -> None:

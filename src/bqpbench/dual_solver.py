@@ -53,10 +53,6 @@ _MAX_SHIFT_DOUBLINGS = 60
 _CLOSED_FORM_MIN_X = 1e-3
 
 
-class NoFeasibleStart(Exception):
-    """No positive definite shift found while doubling the start offset."""
-
-
 class SolveStatus(str, Enum):
     CERTIFIED = "Certified"
     STATIONARY_NOT_BOOLEAN = "StationaryNotBoolean"
@@ -111,24 +107,24 @@ class SolveReport:
 
 
 def initial_point(inst: BqpInstance) -> DualState:
-    """Feasible starting multipliers: absolute row sums plus one.
+    """Starting multipliers: absolute row sums plus one.
 
     That shift is strictly diagonally dominant with positive diagonal,
     hence positive definite; if factorization still fails (overflow-scale
-    data) the offset doubles up to 60 times before giving up.  Row sums
-    that overflow float64 raise :class:`NoFeasibleStart` at once.
+    data) the offset doubles up to 60 times.  When no shift is feasible
+    the infeasible state at the last one tried is returned; row sums that
+    overflow float64 give the infeasible state at row sums plus one at
+    once.
     """
     with np.errstate(over="ignore"):
         rowsums = np.abs(inst.q).sum(axis=1)
     if not np.isfinite(rowsums).all():
-        raise NoFeasibleStart("absolute row sums of Q overflow float64")
-    shift = 1.0
-    for _ in range(_MAX_SHIFT_DOUBLINGS):
-        state = is_dual_feasible(inst, rowsums + shift)
+        return DualState(lam=rowsums + 1.0, q=inst.q, x_of_lambda=None)
+    for doubling in range(_MAX_SHIFT_DOUBLINGS):
+        state = is_dual_feasible(inst, rowsums + 2.0 ** doubling)
         if state.feasible:
-            return state
-        shift *= 2.0
-    raise NoFeasibleStart("could not find a positive definite start shift")
+            break
+    return state
 
 
 def _ascent_direction(inst: BqpInstance, state: DualState, grad: np.ndarray) -> np.ndarray:
@@ -222,45 +218,40 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     ascent stops, the primal try runs on the signs of the final
     ``x(lam)`` (0 -> +1) and certifies at ``lam(x)``.  If it fails, the
     report holds the ascent's final ``lam``, no ``x`` and the status
-    StationaryNotBoolean or MaxIterations.
+    StationaryNotBoolean or MaxIterations.  When :func:`initial_point`
+    finds no feasible start, no ascent runs and the report holds its
+    ``lam``, no ``x_raw``, a NaN dual value, an empty trace and the
+    status NoFeasibleStart.
     """
     opts = opts or SolveOptions()
     first = _primal_try(inst, _signs(inst.c), 0, [])
     if first is not None:
         return first
-    try:
-        state = initial_point(inst)
-    except NoFeasibleStart:
-        with np.errstate(over="ignore"):
-            lam = np.abs(inst.q).sum(axis=1) + 1.0
-        return SolveReport(
-            lam=lam, x=None, x_raw=None, primal_value=math.nan,
-            dual_value=math.nan, gap=math.nan, iterations=0,
-            status=SolveStatus.NO_FEASIBLE_START,
-        )
-
-    value = dual_value(state, inst)
-    trace = [value]
-    iterations = 0
-    while True:
-        grad = dual_gradient(state)
-        stationary = float(np.abs(grad).max()) <= opts.grad_tol
-        if stationary or iterations == opts.max_iter:
-            break
-        direction = _ascent_direction(inst, state, grad)
-        step = _backtrack(inst, state, value, grad, direction)
-        if step is None and direction is not grad:
-            step = _backtrack(inst, state, value, grad, grad)
-        if step is None or step[1] == value:
-            break
-        state, value = step
-        iterations += 1
+    state = initial_point(inst)
+    value, trace, iterations = math.nan, [], 0
+    status = SolveStatus.NO_FEASIBLE_START
+    if state.feasible:
+        value = dual_value(state, inst)
         trace.append(value)
+        while True:
+            grad = dual_gradient(state)
+            stationary = float(np.abs(grad).max()) <= opts.grad_tol
+            if stationary or iterations == opts.max_iter:
+                break
+            direction = _ascent_direction(inst, state, grad)
+            step = _backtrack(inst, state, value, grad, direction)
+            if step is None and direction is not grad:
+                step = _backtrack(inst, state, value, grad, grad)
+            if step is None or step[1] == value:
+                break
+            state, value = step
+            iterations += 1
+            trace.append(value)
 
-    tried = _primal_try(inst, _signs(state.x_of_lambda), iterations, trace)
-    if tried is not None:
-        return tried
-    status = SolveStatus.STATIONARY_NOT_BOOLEAN if stationary else SolveStatus.MAX_ITERATIONS
+        tried = _primal_try(inst, _signs(state.x_of_lambda), iterations, trace)
+        if tried is not None:
+            return tried
+        status = SolveStatus.STATIONARY_NOT_BOOLEAN if stationary else SolveStatus.MAX_ITERATIONS
     return SolveReport(
         lam=state.lam, x=None, x_raw=state.x_of_lambda, primal_value=math.nan,
         dual_value=value, gap=math.nan, iterations=iterations, status=status,

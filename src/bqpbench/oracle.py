@@ -22,7 +22,8 @@ _TIE_REL = 1e-9
 
 
 class TooLarge(Exception):
-    """Instance dimension exceeds the enumeration cap."""
+    """Instance dimension exceeds the enumeration cap, or its objective
+    values overflow float64."""
 
 
 @dataclass
@@ -50,7 +51,9 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
 
     Ties within ``1e-9 * (1 + |best|)`` of the minimum are counted, and
     the reported minimizer is the lexicographically smallest of them
-    (ordering -1 < +1).  Refuses instances with ``n > max_n``.
+    (ordering -1 < +1).  Refuses instances with ``n > max_n``, and
+    those on which the first pass finds a block minimum that is not
+    finite (the objective overflows float64).
     """
     n = inst.n
     if n > max_n:
@@ -63,8 +66,6 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
     c_p, c_s = c[:k], c[k:]
 
     suffixes = _sign_table(m)
-    # Per-suffix cost that does not depend on the prefix.
-    suffix_base = 0.5 * np.einsum("ij,jk,ik->i", suffixes, q_ss, suffixes) - suffixes @ c_s
     prefixes = _sign_table(k)
 
     def block_values(pi: int) -> np.ndarray:
@@ -74,11 +75,17 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
 
     block_mins = np.empty(2 ** k)
     best = np.inf
-    for pi in range(2 ** k):
-        vals = block_values(pi)
-        block_mins[pi] = vals.min()
-        if block_mins[pi] < best:
-            best = block_mins[pi]
+    # Overflowing data make infs and NaNs here; they are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Per-suffix cost that does not depend on the prefix.
+        suffix_base = 0.5 * np.einsum("ij,jk,ik->i", suffixes, q_ss, suffixes) - suffixes @ c_s
+        for pi in range(2 ** k):
+            vals = block_values(pi)
+            block_mins[pi] = vals.min()
+            if block_mins[pi] < best:
+                best = block_mins[pi]
+    if not np.isfinite(block_mins).all():
+        raise TooLarge("objective values overflow float64")
 
     tie_tol = _TIE_REL * (1.0 + abs(best))
     count = 0

@@ -19,6 +19,13 @@ def parsed_lines(stdout):
     return dict(line.split(" ", 1) for line in stdout.splitlines() if " " in line)
 
 
+def undecodable_file(tmp_path):
+    """A file whose line 4 holds the byte 0xff, which is not UTF-8."""
+    path = tmp_path / "bad.bqp"
+    path.write_bytes(b"bqp 1\nn 1\nQ\n\xff\nc\n1\n")
+    return path
+
+
 class TestGen:
     def test_writes_file_and_prints_objective(self, tmp_path):
         out = tmp_path / "a.bqp"
@@ -127,10 +134,10 @@ class TestSolve:
         assert "x -" in proc.stdout.splitlines()
         assert not cert.exists()
 
-    def test_stationary_on_last_iteration_exits_zero(self):
-        # The first primal try misses this instance; the eighth ascent step
-        # reaches the stationary point, so a budget of eight must suffice,
-        # and the try where the ascent stops certifies.
+    def test_try_after_the_last_allowed_step_exits_zero(self):
+        # The first primal try misses this instance; the budget of eight
+        # ascent steps is spent, and the try where the ascent stops
+        # certifies.
         proc = run_cli("solve", str(FIXTURES / "ascent8.bqp"), "--max-iter", "8")
         assert proc.returncode == 0
         fields = parsed_lines(proc.stdout)
@@ -145,6 +152,12 @@ class TestSolve:
         assert proc.returncode == 1
         assert proc.stderr == ""
         assert parsed_lines(proc.stdout)["status"] == "NoFeasibleStart"
+
+    def test_undecodable_byte_is_parse_error(self, tmp_path):
+        proc = run_cli("solve", str(undecodable_file(tmp_path)))
+        assert proc.returncode == 4
+        assert proc.stderr == "line 4: byte 0xff does not decode as UTF-8\n"
+        assert proc.stdout == ""
 
     def test_invalid_max_iter(self):
         proc = run_cli("solve", str(FIXTURES / "example1.bqp"), "--max-iter", "0")
@@ -178,6 +191,12 @@ class TestVerify:
         proc = run_cli("verify", "missing.bqp")
         assert proc.returncode == 4
         assert proc.stderr == "line 0: cannot read missing.bqp: No such file or directory\n"
+
+    def test_undecodable_byte_is_parse_error(self, tmp_path):
+        proc = run_cli("verify", str(undecodable_file(tmp_path)))
+        assert proc.returncode == 4
+        assert proc.stderr == "line 4: byte 0xff does not decode as UTF-8\n"
+        assert proc.stdout == ""
 
     def test_tampered_certificate_fails(self, tmp_path):
         text = (FIXTURES / "example1.bqp").read_text()
@@ -219,6 +238,15 @@ class TestOracle:
         proc = run_cli("oracle", str(big))
         assert proc.returncode == 5
 
+    def test_refuses_overflowing_objective(self, tmp_path):
+        # A valid file on which every objective value overflows float64.
+        path = tmp_path / "huge.bqp"
+        path.write_text("bqp 1\nn 2\nQ\n-1e308 1e308\n1e308 -1e308\nc\n1 1\n")
+        proc = run_cli("oracle", str(path))
+        assert proc.returncode == 5
+        assert proc.stderr == "objective values overflow float64\n"
+        assert proc.stdout == ""
+
     def test_force_overrides_cap(self, tmp_path):
         big = tmp_path / "big.bqp"
         run_cli("gen", "-n", "26", "--seed", "1", "-o", str(big), "--with-certificate")
@@ -249,6 +277,15 @@ class TestBench:
         proc = run_cli("bench", "--sizes", "3", "--seeds", "1", "--csv", str(target))
         assert proc.returncode == 3
         assert proc.stderr == f"cannot write {target}: No such file or directory\n"
+
+    def test_unallocatable_size_fails_without_a_csv(self, tmp_path):
+        # As for gen -n 100000000: numpy refuses the n x n draw at once.
+        csv_path = tmp_path / "b.csv"
+        proc = run_cli("bench", "--sizes", "100000000", "--seeds", "1", "--csv", str(csv_path))
+        assert proc.returncode == 1
+        assert proc.stderr == "generation failed: cannot allocate an n x n matrix at n=100000000\n"
+        assert proc.stdout == ""
+        assert not csv_path.exists()
 
     def test_csv_flag_required(self):
         proc = run_cli("bench", "--sizes", "4")

@@ -6,7 +6,6 @@ from conftest import load_fixture_text, report_bits, spectral_instance
 from bqpbench import (
     BqpInstance,
     GenConfig,
-    NoFeasibleStart,
     SolveOptions,
     SolveStatus,
     generate_instance,
@@ -58,16 +57,22 @@ class TestInitialPoint:
         np.testing.assert_array_equal(state.lam - 2.0**60, [256.0])
 
     def test_overflowing_row_sums(self):
-        # Row sums of 2e308 overflow float64; no warning may escape.
+        # Row sums of 2e308 overflow float64; no warning may escape.  The
+        # start is the infeasible state at row sums + 1, and the report
+        # holds its lam.
         inst = BqpInstance(np.full((2, 2), 1e308), [1.0, 1.0])
-        with pytest.raises(NoFeasibleStart, match="overflow"):
-            initial_point(inst)
+        state = initial_point(inst)
+        assert not state.feasible
+        np.testing.assert_array_equal(state.lam, [np.inf, np.inf])
         report = solve_dual(inst)
         assert report.status is SolveStatus.NO_FEASIBLE_START
         assert report.iterations == 0 and report.x is None
+        np.testing.assert_array_equal(report.lam, state.lam)
+        assert report.x_raw is None and np.isnan(report.dual_value)
+        assert report.dual_trace == []
 
 
-class TestRecoverPrimal:
+class TestXOfLambda:
     def test_scalar(self):
         assert is_dual_feasible(BqpInstance([[0.0]], [1.0]), [1.0]).x_of_lambda == pytest.approx(1.0)
 
@@ -174,14 +179,32 @@ class TestSolveBehavior:
         assert report.dual_value == pytest.approx(1.0857864376264048, abs=1e-12)
         assert len(report.dual_trace) == report.iterations + 1
 
-    def test_stationary_after_last_allowed_step_is_certified(self, first_try_off):
-        # The second step reaches |g| ~ 3e-9 < grad_tol; the budget of two
-        # steps is spent, but the point is stationary and must certify.
+    def test_try_after_the_last_allowed_step_certifies(self, first_try_off):
+        # The budget of two steps is spent; the try where the ascent stops
+        # still runs and certifies the planted x.
         inst, cert = generate_instance(GenConfig(n=50, seed=3))
         report = solve_dual(inst, SolveOptions(max_iter=2))
         assert report.status is SolveStatus.CERTIFIED
         assert report.iterations == 2
         np.testing.assert_array_equal(report.x, cert.x)
+
+    def test_stationary_after_last_allowed_step_is_reported_stationary(self, monkeypatch, first_try_off):
+        # The second step reaches |g| ~ 3e-9 < grad_tol.  With the try
+        # refused, the gradient test after the last step decides the status:
+        # StationaryNotBoolean, not MaxIterations.
+        import bqpbench.dual_solver as ds
+        from bqpbench.verify import check_certificate
+
+        def refusing(inst, x, state):
+            report = check_certificate(inst, x, state)
+            report.overall = False
+            return report
+
+        monkeypatch.setattr(ds, "check_certificate", refusing)
+        inst, _ = generate_instance(GenConfig(n=50, seed=3))
+        report = ds.solve_dual(inst, SolveOptions(max_iter=2))
+        assert report.status is SolveStatus.STATIONARY_NOT_BOOLEAN
+        assert report.iterations == 2 and report.x is None
 
     def test_stationary_not_boolean_with_loose_tolerance(self):
         # With a huge gradient tolerance the start point already counts as
@@ -193,18 +216,21 @@ class TestSolveBehavior:
 
     def test_no_feasible_start_status(self, monkeypatch):
         import bqpbench.dual_solver as ds
-        from bqpbench import DualState, NoFeasibleStart
+        from bqpbench import DualState
 
         def never_feasible(inst, lam):
             return DualState(lam=np.asarray(lam, float), q=inst.q, x_of_lambda=None)
 
         monkeypatch.setattr(ds, "is_dual_feasible", never_feasible)
         inst = BqpInstance(np.eye(2), [1.0, 1.0])
-        with pytest.raises(NoFeasibleStart):
-            ds.initial_point(inst)
+        # Row sums 1; the last of 60 shifts tried is 2**59.
+        state = ds.initial_point(inst)
+        assert not state.feasible
+        np.testing.assert_array_equal(state.lam, [1.0 + 2.0**59] * 2)
         report = ds.solve_dual(inst)
         assert report.status is SolveStatus.NO_FEASIBLE_START
         assert report.iterations == 0 and report.x is None
+        np.testing.assert_array_equal(report.lam, state.lam)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

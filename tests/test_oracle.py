@@ -82,3 +82,14 @@ def test_lexicographic_first_across_blocks():
     result = brute_force_minimize(inst)
     assert result.minimizer_count == 2 ** n
     np.testing.assert_array_equal(result.best_x, -np.ones(n))
+
+
+@pytest.mark.parametrize("n", [2, 14])
+def test_refuses_overflowing_objective(n):
+    # Entries of +-1e308 make objective values overflow to +-inf and NaN,
+    # in one block (n = 2) and across the prefix/suffix split (n = 14);
+    # no warning may escape.
+    signs = np.where(np.random.default_rng(n).random((n, n)) < 0.5, -1.0, 1.0)
+    inst = BqpInstance(1e308 * np.triu(signs) + 1e308 * np.triu(signs, 1).T, np.ones(n))
+    with pytest.raises(TooLarge, match="overflow float64"):
+        brute_force_minimize(inst)
