@@ -34,7 +34,6 @@ from .model import (
     Infeasible,
     dual_gradient,
     dual_hessian,
-    dual_value,
     is_dual_feasible,
     objective_value,
     q_of_lambda,
@@ -74,7 +73,6 @@ __all__ = [
     "brute_force_minimize",
     "dual_gradient",
     "dual_hessian",
-    "dual_value",
     "generate_instance",
     "initial_point",
     "is_dual_feasible",

@@ -79,16 +79,18 @@ def _write_text(path: str, content: str) -> None:
 
 
 def _read_instance_file(path: str) -> InstanceFile:
+    # Bytes, decoded strictly, so line breaks reach ``parse_instance``
+    # untranslated: a bare ``\r`` is its error, not a newline.
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # ``read`` decodes the whole file at once, so ``object`` is all of
-        # its bytes; a line break is ASCII, never part of the bad bytes.
-        line = len(exc.object[: exc.end].splitlines())
-        raise ParseError(line, f"byte 0x{exc.object[exc.start]:02x} does not decode as UTF-8") from None
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"byte 0x{data[exc.start]:02x} does not decode as UTF-8") from None
     return parse_instance(text)
 
 

@@ -39,7 +39,6 @@ from .model import (
     BqpInstance,
     DualState,
     dual_gradient,
-    dual_value,
     is_dual_feasible,
     require_count,
 )
@@ -86,13 +85,15 @@ class SolveReport:
     ``x`` is the certified sign vector, and None unless the status is
     Certified; ``x_raw`` is the solve ``x(lam)`` at the reported ``lam``.
     ``primal_value`` and ``gap`` (primal minus dual) come from the
-    certificate check and are NaN when ``x`` is None.  ``iterations``
-    counts the ascent steps that raised the dual (0 when the first primal
-    try certified); ``dual_trace`` holds the dual value at the start and
-    after each of them, then the value at a certifying primal try's
-    ``lam(x)``, so its last entry is always ``dual_value``.  The ascent's
-    entries rise; a certificate's value equals f(x) and can lie a
-    rounding error below them.  A primal try that fails changes nothing.
+    certificate check and are NaN when ``x`` is None.  ``dual_value`` is
+    the ``value`` of the dual state at the reported ``lam``, NaN when no
+    feasible start was found.  ``iterations`` counts the ascent steps that
+    raised the dual (0 when the first primal try certified); ``dual_trace``
+    holds the dual value at the start and after each of them, then the
+    value at a certifying primal try's ``lam(x)``, so its last entry is
+    always ``dual_value``.  The ascent's entries rise; a certificate's
+    value equals f(x) and can lie a rounding error below them.  A primal
+    try that fails changes nothing.
     """
 
     lam: np.ndarray
@@ -173,31 +174,28 @@ def _primal_try(inst: BqpInstance, x: np.ndarray, iterations: int, trace: list[f
     check = check_certificate(inst, x, state)
     if not check.overall:
         return None
-    value = dual_value(state, inst)
     return SolveReport(
         lam=state.lam, x=x, x_raw=state.x_of_lambda, primal_value=check.primal,
-        dual_value=value, gap=check.gap, iterations=iterations,
-        status=SolveStatus.CERTIFIED, dual_trace=[*trace, value],
+        dual_value=state.value, gap=check.gap, iterations=iterations,
+        status=SolveStatus.CERTIFIED, dual_trace=[*trace, state.value],
     )
 
 
-def _backtrack(inst, state, value, grad, direction):
+def _backtrack(inst, state, grad, direction):
     """Shrink the step until the trial point is feasible and Armijo holds.
 
-    Returns the accepted ``(state, value)``, or None when no trial passes
-    within 60 shrinks in total across the feasibility and ascent phases.
-    (An accepted trial can be ``state`` itself: a step too small to move
+    Returns the accepted dual state, or None when no trial passes within
+    60 shrinks in total across the feasibility and ascent phases.  (An
+    accepted trial can be ``state`` itself: a step too small to move
     ``lam`` gets the instance's memoized state back.)
     """
     slope = float(grad @ direction)
     t = 1.0
     for _ in range(_MAX_BACKTRACKS):
         trial = is_dual_feasible(inst, state.lam + t * direction)
-        if trial.feasible:
-            trial_value = dual_value(trial, inst)
-            if trial_value >= value + _ARMIJO_COEFF * t * slope:
-                assert trial_value >= value, "accepted step must not decrease the dual"
-                return trial, trial_value
+        if trial.feasible and trial.value >= state.value + _ARMIJO_COEFF * t * slope:
+            assert trial.value >= state.value, "accepted step must not decrease the dual"
+            return trial
         t *= _BACKTRACK_FACTOR
     return None
 
@@ -220,7 +218,7 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     report holds the ascent's final ``lam``, no ``x`` and the status
     StationaryNotBoolean or MaxIterations.  When :func:`initial_point`
     finds no feasible start, no ascent runs and the report holds its
-    ``lam``, no ``x_raw``, a NaN dual value, an empty trace and the
+    ``lam``, no ``x_raw``, its NaN dual value, an empty trace and the
     status NoFeasibleStart.
     """
     opts = opts or SolveOptions()
@@ -228,25 +226,24 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     if first is not None:
         return first
     state = initial_point(inst)
-    value, trace, iterations = math.nan, [], 0
+    trace, iterations = [], 0
     status = SolveStatus.NO_FEASIBLE_START
     if state.feasible:
-        value = dual_value(state, inst)
-        trace.append(value)
+        trace.append(state.value)
         while True:
             grad = dual_gradient(state)
             stationary = float(np.abs(grad).max()) <= opts.grad_tol
             if stationary or iterations == opts.max_iter:
                 break
             direction = _ascent_direction(inst, state, grad)
-            step = _backtrack(inst, state, value, grad, direction)
+            step = _backtrack(inst, state, grad, direction)
             if step is None and direction is not grad:
-                step = _backtrack(inst, state, value, grad, grad)
-            if step is None or step[1] == value:
+                step = _backtrack(inst, state, grad, grad)
+            if step is None or step.value == state.value:
                 break
-            state, value = step
+            state = step
             iterations += 1
-            trace.append(value)
+            trace.append(state.value)
 
         tried = _primal_try(inst, _signs(state.x_of_lambda), iterations, trace)
         if tried is not None:
@@ -254,6 +251,6 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
         status = SolveStatus.STATIONARY_NOT_BOOLEAN if stationary else SolveStatus.MAX_ITERATIONS
     return SolveReport(
         lam=state.lam, x=None, x_raw=state.x_of_lambda, primal_value=math.nan,
-        dual_value=value, gap=math.nan, iterations=iterations, status=status,
+        dual_value=state.value, gap=math.nan, iterations=iterations, status=status,
         dual_trace=trace,
     )

@@ -6,15 +6,17 @@ quadratic to ``Q + diag(lam)``; whenever that shift is positive definite
 the dual function has the closed form ``-0.5 * c'(Q + diag(lam))^-1 c -
 0.5 * sum(lam)``, which this module evaluates together with its gradient
 from one LAPACK Cholesky and one LAPACK solve per multiplier point; a
-dual point keeps only ``lam`` and the solved ``x(lam)``.  Each instance
-memoizes its last feasible dual state, so a multiplier point that the
-generator, the solver, ``verify`` and the Schur check all ask about is
-factorized once.  The explicit Hessian factorizes again and costs n more
+dual point keeps only ``lam``, the solved ``x(lam)`` and the dual value
+read off it, and nothing evaluates the dual apart from that point.
+Each instance memoizes its last feasible dual state, so a multiplier
+point that the generator, the solver, ``verify`` and the Schur check all
+ask about is factorized once.  The explicit Hessian factorizes again and costs n more
 solves; it is a reference for the solver's Newton step.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -72,7 +74,7 @@ class BqpInstance:
     as read-only copies, so code holding an instance does not check
     ``q`` again.  The instance also holds the last feasible
     :class:`DualState` that :func:`is_dual_feasible` built for it (its
-    ``lam`` and ``x(lam)``, no n x n array of its own).
+    ``lam``, ``x(lam)`` and dual value, no n x n array of its own).
     """
 
     __slots__ = ("q", "c", "_dual_memo")
@@ -101,18 +103,22 @@ class BqpInstance:
 
 @dataclass(frozen=True)
 class DualState:
-    """A multiplier point and its solved vector.
+    """A multiplier point, its solved vector and its dual value.
 
     ``x_of_lambda`` solves ``(q + diag(lam)) x = c`` where the shift is
     positive definite (``feasible``), else None; ``q`` is the instance's
-    read-only matrix itself.  A feasible state may be handed to every later
-    caller at the same ``lam`` (see :func:`is_dual_feasible`), so its
-    ``lam`` and ``x_of_lambda`` are read-only and ``lam`` is its own copy.
+    read-only matrix itself.  ``value`` is the dual function
+    ``-0.5 * c'x(lam) - 0.5 * sum(lam)`` at a feasible state and NaN (the
+    default) at an infeasible one, where the dual is undefined.  A
+    feasible state may be handed to every later caller at the same ``lam``
+    (see :func:`is_dual_feasible`), so its ``lam`` and ``x_of_lambda`` are
+    read-only and ``lam`` is its own copy.
     """
 
     lam: np.ndarray
     q: np.ndarray
     x_of_lambda: np.ndarray | None
+    value: float = math.nan
 
     @property
     def feasible(self) -> bool:
@@ -139,10 +145,12 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
 
     The shifted matrix is built straight from the validated ``inst.q``
     and factorized once, in place; ``x(lam)`` is one solve against that
-    factor, which is then let go, so the state holds no n x n array.
-    Infeasibility is a state, not an error: the returned object simply
-    carries ``x_of_lambda=None`` (``feasible`` false).  A shifted diagonal
-    that overflows float64 is infeasible too.
+    factor, which is then let go, so the state holds no n x n array.  The
+    dual value ``-0.5 * c'x(lam) - 0.5 * sum(lam)`` is computed here, once,
+    and stored as ``value``.  Infeasibility is a state, not an error: the
+    returned object simply carries ``x_of_lambda=None`` (``feasible``
+    false) and a NaN ``value``.  A shifted diagonal that overflows float64
+    is infeasible too.
 
     A feasible state is memoized on ``inst`` (one slot, replaced by the
     next feasible point), and a ``lam`` bitwise equal to the memoized one
@@ -168,19 +176,9 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     x = spd_solve(factor, inst.c)
     for owned in (lam, x):
         owned.flags.writeable = False
-    inst._dual_memo = DualState(lam=lam, q=inst.q, x_of_lambda=x)
+    value = float(-0.5 * (inst.c @ x) - 0.5 * lam.sum())
+    inst._dual_memo = DualState(lam=lam, q=inst.q, x_of_lambda=x, value=value)
     return inst._dual_memo
-
-
-def dual_value(state: DualState, inst: BqpInstance) -> float:
-    """Dual function value at a feasible state.
-
-    Evaluated as ``-0.5 * c'x(lam) - 0.5 * sum(lam)`` through the cached
-    linear solve; the shifted inverse is never formed explicitly.
-    """
-    if not state.feasible:
-        raise Infeasible("dual value undefined: shifted matrix is not positive definite")
-    return float(-0.5 * (inst.c @ state.x_of_lambda) - 0.5 * state.lam.sum())
 
 
 def dual_gradient(state: DualState) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Dense symmetric linear algebra kernel.
 
-Everything else in the package funnels its matrix work through here:
+The rest of the package does its factorizations and solves here:
 Cholesky factorization as the only positive-definiteness witness (one
 LAPACK ``dpotrf`` call), solves against the factor (one LAPACK
 ``dpotrs`` call), and the smallest eigenvalue of a symmetric matrix (one
-dense ``eigvalsh``).  Matrices are plain float64 numpy arrays; symmetry
-is validated exactly (entrywise equality) at every entry point.
+dense ``eigvalsh``).  Matrix-vector products stay with their callers, and
+``verify.inertia_note``, an informational line of the CLI's ``verify``
+output, calls ``numpy.linalg.eigvalsh`` itself.  Matrices are plain
+float64 numpy arrays; symmetry is validated exactly (entrywise equality)
+at every entry point.
 
 LAPACK comes from scipy's compiled f2py wrappers, the same objects that
 ``scipy.linalg.lapack`` exposes.  Their extension module

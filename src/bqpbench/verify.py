@@ -29,7 +29,6 @@ from .model import (
     BqpInstance,
     DualState,
     as_vector,
-    dual_value,
     is_dual_feasible,
 )
 
@@ -72,8 +71,9 @@ def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6)
     pd_ok: ``state`` is feasible; stationary_ok: the residual
     ``(Q + diag(lam)) x - c`` has sup-norm at most ``tol * (1 + ||c||_inf)``
     (one that overflows fails); boolean_ok: every entry of ``x`` is exactly
-    +/-1; gap_ok: the primal-dual gap is at most ``tol * (1 + |f(x)|)`` in
-    magnitude.  One product ``Q x`` serves the residual and f(x).
+    +/-1; gap_ok: the primal-dual gap ``f(x) - state.value`` is at most
+    ``tol * (1 + |f(x)|)`` in magnitude.  One product ``Q x`` serves the
+    residual and f(x); the dual value is the one the state carries.
     """
     if not 0 < tol < inf:
         raise ValueError("tol must be positive and finite")
@@ -88,7 +88,7 @@ def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6)
 
     if pd_ok and boolean_ok:
         primal = float(0.5 * (x @ qx) - inst.c @ x)
-        gap = primal - dual_value(state, inst)
+        gap = primal - state.value
         gap_ok = bool(abs(gap) <= tol * (1.0 + abs(primal)))
     else:
         primal, gap, gap_ok = nan, nan, False

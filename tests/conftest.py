@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bqpbench import BqpInstance, GenConfig, dual_value, generate_instance, is_dual_feasible
+from bqpbench import BqpInstance, GenConfig, generate_instance, is_dual_feasible
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -68,8 +68,8 @@ def fd_gradient(inst: BqpInstance, lam: np.ndarray, step: float = 1e-5) -> np.nd
     for i in range(len(lam)):
         bump = np.zeros_like(lam)
         bump[i] = step
-        up = dual_value(is_dual_feasible(inst, lam + bump), inst)
-        down = dual_value(is_dual_feasible(inst, lam - bump), inst)
+        up = is_dual_feasible(inst, lam + bump).value
+        down = is_dual_feasible(inst, lam - bump).value
         grad[i] = (up - down) / (2.0 * step)
     return grad
 

@@ -159,6 +159,26 @@ class TestSolve:
         assert proc.stderr == "line 4: byte 0xff does not decode as UTF-8\n"
         assert proc.stdout == ""
 
+    def test_bare_carriage_return_is_parse_error(self, tmp_path):
+        # The file reaches parse_instance untranslated, so a bare \r is the
+        # separator error it is in the parser, not a line break.
+        path = tmp_path / "cr.bqp"
+        path.write_bytes(b"bqp 1\rn 1\nQ\n1\nc\n1\n")
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 4
+        assert proc.stderr == "line 1: separator '\\r' is not a space or tab\n"
+        assert proc.stdout == ""
+
+    def test_undecodable_byte_line_counts_only_newlines(self, tmp_path):
+        # 0xff is on the third \n-terminated line; the bare \r before it
+        # does not start a line.
+        path = tmp_path / "bad.bqp"
+        path.write_bytes(b"bqp 1\rn 1\nQ\n\xff\nc\n1\n")
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 4
+        assert proc.stderr == "line 3: byte 0xff does not decode as UTF-8\n"
+        assert proc.stdout == ""
+
     def test_invalid_max_iter(self):
         proc = run_cli("solve", str(FIXTURES / "example1.bqp"), "--max-iter", "0")
         assert proc.returncode == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from bqpbench import (
     Infeasible,
     dual_gradient,
     dual_hessian,
-    dual_value,
     generate_instance,
     is_dual_feasible,
     min_eigenvalue,
@@ -79,17 +80,53 @@ class TestShiftedMatrix:
 class TestDualValue:
     def test_example1(self, example1):
         state = is_dual_feasible(example1, gold.LAMBDA1_INT)
-        assert dual_value(state, example1) == pytest.approx(-171.0, abs=1e-9)
+        assert state.value == pytest.approx(-171.0, abs=1e-9)
 
     def test_zero_instance(self):
         inst = BqpInstance(np.zeros((4, 4)), np.zeros(4))
         state = is_dual_feasible(inst, np.ones(4))
-        assert dual_value(state, inst) == -2.0
+        assert state.value == -2.0
 
-    def test_infeasible_raises(self, example1):
+    def test_infeasible_is_nan(self, example1):
+        # The dual is undefined off the PD cone: the state carries NaN, and
+        # the gradient and Hessian still refuse to be evaluated there.
         state = is_dual_feasible(example1, np.zeros(5))
+        assert math.isnan(state.value)
         with pytest.raises(Infeasible):
-            dual_value(state, example1)
+            dual_gradient(state)
+        with pytest.raises(Infeasible):
+            dual_hessian(state)
+
+    def test_value_is_the_closed_form_bitwise(self):
+        rng = np.random.default_rng(11)
+        for seed in range(6):
+            inst, _ = generate_instance(GenConfig(n=int(rng.integers(2, 30)), seed=seed))
+            state = interior_state(inst, rng)
+            expected = float(-0.5 * (inst.c @ state.x_of_lambda) - 0.5 * state.lam.sum())
+            assert np.float64(state.value).tobytes() == np.float64(expected).tobytes()
+
+    def test_memo_hit_returns_the_same_value(self, example1):
+        state = is_dual_feasible(example1, gold.LAMBDA1_INT)
+        again = is_dual_feasible(example1, np.array(gold.LAMBDA1_INT, dtype=float))
+        assert again is state
+        assert again.value == state.value
+
+    def test_planted_state_carries_the_planted_dual_value(self, factorizations):
+        inst, cert = generate_instance(GenConfig(n=40, seed=5))
+        made = len(factorizations)
+        state = is_dual_feasible(inst, cert.lam)
+        assert len(factorizations) == made  # the generator's memoized state
+        assert state.value == float(-0.5 * (inst.c @ state.x_of_lambda) - 0.5 * cert.lam.sum())
+        # Zero gap at the planted pair: g(planted lam) = f(planted x).
+        f = objective_value(inst, cert.x)
+        assert state.value == pytest.approx(f, rel=1e-9)
+
+    def test_no_separate_dual_value_function(self):
+        import bqpbench.model
+
+        with pytest.raises(ImportError):
+            from bqpbench import dual_value  # noqa: F401
+        assert not hasattr(bqpbench.model, "dual_value")
 
 
 class TestDualGradient:
@@ -190,7 +227,7 @@ class TestWeakDuality:
             n = int(rng.integers(2, 13))
             inst, _ = generate_instance(GenConfig(n=n, seed=seed))
             state = interior_state(inst, rng)
-            g = dual_value(state, inst)
+            g = state.value
             for _ in range(20):
                 x = 2.0 * rng.integers(0, 2, n) - 1.0
                 f = objective_value(inst, x)

@@ -10,7 +10,6 @@ from bqpbench import (
     GenConfig,
     SolveStatus,
     brute_force_minimize,
-    dual_value,
     generate_instance,
     is_dual_feasible,
     objective_value,
@@ -101,7 +100,7 @@ class TestCheckCertificate:
                 assert math.isnan(report.primal)
             else:
                 assert report.primal == objective_value(example1, x)
-                assert report.gap == report.primal - dual_value(is_dual_feasible(example1, lam), example1)
+                assert report.gap == report.primal - is_dual_feasible(example1, lam).value
 
     def test_one_product_with_q(self, example1, example1_cert):
         class CountingQ(np.ndarray):
@@ -147,7 +146,7 @@ class TestDualityGap:
     def test_scalar_hand_computation(self):
         # f([1]) = -1 and g(2) = -1/4 - 1 = -1.25, so the gap is 0.25.
         inst = BqpInstance([[0.0]], [1.0])
-        assert dual_value(is_dual_feasible(inst, [2.0]), inst) == pytest.approx(-1.25, abs=1e-12)
+        assert is_dual_feasible(inst, [2.0]).value == pytest.approx(-1.25, abs=1e-12)
         assert objective_value(inst, [1.0]) == -1.0
 
 
@@ -258,7 +257,7 @@ class TestZeroGapIdentityChain:
             inst, _ = generate_instance(GenConfig(n=10, seed=seed))
             report = solve_dual(inst)
             assert report.status is SolveStatus.CERTIFIED
-            g = dual_value(is_dual_feasible(inst, report.lam), inst)
+            g = is_dual_feasible(inst, report.lam).value
             x, lam = report.x_raw, report.lam
             lagr = 0.5 * (x @ (inst.q @ x) + lam @ (x * x)) - inst.c @ x - 0.5 * lam.sum()
             f = objective_value(inst, report.x)
