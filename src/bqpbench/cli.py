@@ -8,7 +8,8 @@ naming the flag.
 Exit codes: 0 success (solve: Certified; verify: all checks pass),
 1 failed generation/solve/verification, 2 invalid flags, 3 write failure,
 4 parse/read failure (a byte that is not UTF-8 included), 5 oracle
-refusal (n above the cap, or objective values that overflow float64).
+refusal (n above the cap, sign tables that cannot be allocated, or
+objective values that overflow float64).
 The ``run_*`` functions return the outcome of a command that ran; a
 failure (``ParseError``, ``GenerationFailed``, ``WriteFailed``,
 ``TooLarge``) propagates to :func:`main`, the one place that prints it

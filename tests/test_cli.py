@@ -267,6 +267,17 @@ class TestOracle:
         assert proc.stderr == "objective values overflow float64\n"
         assert proc.stdout == ""
 
+    def test_unallocatable_sign_tables_fail_as_too_large(self, tmp_path):
+        # At n = 60 the prefix table needs 2^47 codes (512 TiB), more than
+        # the address space, so numpy refuses it at once; no n between 26
+        # and 60 may be tried here.
+        path = tmp_path / "a.bqp"
+        run_cli("gen", "-n", "60", "--seed", "1", "-o", str(path))
+        proc = run_cli("oracle", str(path), "--force")
+        assert proc.returncode == 5
+        assert proc.stderr == "cannot allocate the sign tables at n=60\n"
+        assert proc.stdout == ""
+
     def test_force_overrides_cap(self, tmp_path):
         big = tmp_path / "big.bqp"
         run_cli("gen", "-n", "26", "--seed", "1", "-o", str(big), "--with-certificate")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import golden_data as gold
-from bqpbench import BqpInstance, TooLarge, brute_force_minimize, objective_value
+import bqpbench.oracle as oracle
+from bqpbench import BqpInstance, GenConfig, TooLarge, brute_force_minimize, generate_instance, objective_value
 
 
 def exhaustive_reference(inst):
@@ -93,3 +94,103 @@ def test_refuses_overflowing_objective(n):
     inst = BqpInstance(1e308 * np.triu(signs) + 1e308 * np.triu(signs, 1).T, np.ones(n))
     with pytest.raises(TooLarge, match="overflow float64"):
         brute_force_minimize(inst)
+
+
+def full_scan_reference(inst):
+    """The two-pass scan of every block that the oracle ran before it
+    pruned: the first pass finds the minimum over all 2^n values, the
+    second counts ties and finds the first one in prefix order."""
+    m = min(inst.n, oracle._BLOCK_BITS)
+    k = inst.n - m
+    q, c = inst.q, inst.c
+    q_pp, q_ps, q_ss = q[:k, :k], q[:k, k:], q[k:, k:]
+    c_p, c_s = c[:k], c[k:]
+    suffixes = oracle._sign_table(m)
+    prefixes = oracle._sign_table(k)
+    suffix_base = 0.5 * np.einsum("ij,jk,ik->i", suffixes, q_ss, suffixes) - suffixes @ c_s
+
+    def block_values(pi):
+        p = prefixes[pi]
+        const = 0.5 * (p @ (q_pp @ p)) - c_p @ p
+        return const + suffixes @ (q_ps.T @ p) + suffix_base
+
+    block_mins = np.array([block_values(pi).min() for pi in range(2 ** k)])
+    best = np.inf
+    for value in block_mins:
+        if value < best:
+            best = value
+    tie_tol = 1e-9 * (1.0 + abs(best))
+    count = 0
+    best_index = None
+    for pi in np.nonzero(block_mins <= best + tie_tol)[0]:
+        ties = np.nonzero(block_values(pi) <= best + tie_tol)[0]
+        count += ties.size
+        if best_index is None and ties.size:
+            best_index = (int(pi) << m) | int(ties[0])
+    best_x = np.concatenate([prefixes[best_index >> m], suffixes[best_index & (2 ** m - 1)]])
+    return best_x, float(best), count
+
+
+def kind_b_instance(seed, n):
+    """An unplanted instance: Q from the generator and an independent
+    integer c with no zero entry."""
+    inst, _ = generate_instance(GenConfig(n=n, seed=seed))
+    c = np.round(10.0 * np.random.default_rng([seed, 3]).standard_normal(n))
+    c[c == 0] = 1.0
+    return BqpInstance(inst.q, c)
+
+
+# The first 8 of the 64 seeds of the seed-7 kind-(b) pool at n = 24; the
+# full scan takes about 0.1 s per instance, so the whole pool is left out.
+POOL_SEEDS = [int(s) for s in np.random.SeedSequence([7, 4]).generate_state(64)][:8]
+
+
+@pytest.mark.parametrize("seed", POOL_SEEDS)
+def test_pruned_result_is_the_full_scan_bitwise(seed):
+    inst = kind_b_instance(seed, 24)
+    ref_x, ref_value, ref_count = full_scan_reference(inst)
+    result = brute_force_minimize(inst)
+    assert result.best_x.tobytes() == ref_x.tobytes()
+    assert np.float64(result.best_value).tobytes() == np.float64(ref_value).tobytes()
+    assert result.minimizer_count == ref_count
+
+
+@pytest.fixture
+def evaluated_blocks(monkeypatch):
+    """The prefix of every block the oracle evaluates, in call order."""
+    prefixes = []
+    real = oracle._block_values
+    monkeypatch.setattr(oracle, "_block_values", lambda p, *rest: prefixes.append(tuple(p)) or real(p, *rest))
+    return prefixes
+
+
+def test_pruning_skips_most_blocks_of_a_planted_instance(evaluated_blocks):
+    # n = 25 has 2^12 = 4096 blocks; the planted minimum bounds out all
+    # but a few of them.
+    inst, cert = generate_instance(GenConfig(n=25, seed=0))
+    result = brute_force_minimize(inst)
+    np.testing.assert_array_equal(result.best_x, cert.x)
+    assert result.minimizer_count == 1
+    assert len(set(evaluated_blocks)) < 0.05 * 4096
+
+
+def test_all_ties_evaluate_every_block(evaluated_blocks):
+    n = 14
+    result = brute_force_minimize(BqpInstance(np.zeros((n, n)), np.zeros(n)))
+    assert result.minimizer_count == 2 ** n
+    assert set(evaluated_blocks) == {(-1.0,), (1.0,)}
+
+
+@pytest.mark.parametrize("diagonal, evaluated", [(1e306, 4), (1e307, 8)])
+def test_no_block_is_skipped_where_the_data_scale_overflows(evaluated_blocks, diagonal, evaluated):
+    # f = 8 * diagonal - 1e300 * x_1: the 4 of 2^3 blocks with x_1 = -1 lie
+    # 2e300 above the minimum, beyond the tie tolerance.  At diagonal =
+    # 1e306 they are skipped; at 1e307, twice sum|Q_ij| overflows float64,
+    # so the rounding slack is infinite and every block is evaluated.
+    n = 16
+    c = np.zeros(n)
+    c[0] = 1e300
+    result = brute_force_minimize(BqpInstance(diagonal * np.eye(n), c))
+    assert result.best_x[0] == 1.0
+    assert result.minimizer_count == 2 ** (n - 1)
+    assert len(set(evaluated_blocks)) == evaluated
