@@ -41,7 +41,6 @@ from .model import (
 from .numerics import (
     DimensionMismatch,
     NotPositiveDefinite,
-    SpdFactor,
     min_eigenvalue,
     spd_factorize,
     spd_solve,
@@ -67,7 +66,6 @@ __all__ = [
     "SolveOptions",
     "SolveReport",
     "SolveStatus",
-    "SpdFactor",
     "TooLarge",
     "VerifyReport",
     "brute_force_minimize",

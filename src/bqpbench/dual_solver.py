@@ -185,17 +185,22 @@ def _backtrack(inst, state, grad, direction):
     """Shrink the step until the trial point is feasible and Armijo holds.
 
     Returns the accepted dual state, or None when no trial passes within
-    60 shrinks in total across the feasibility and ascent phases.  (An
-    accepted trial can be ``state`` itself: a step too small to move
-    ``lam`` gets the instance's memoized state back.)
+    60 shrinks in total across the feasibility and ascent phases.  A trial
+    ``lam`` that is not finite (the step overflowed float64) is an
+    infeasible trial, as an overflowing shifted diagonal is in
+    :func:`is_dual_feasible`.  (An accepted trial can be ``state`` itself:
+    a step too small to move ``lam`` gets the instance's memoized state
+    back.)
     """
     slope = float(grad @ direction)
     t = 1.0
     for _ in range(_MAX_BACKTRACKS):
-        trial = is_dual_feasible(inst, state.lam + t * direction)
-        if trial.feasible and trial.value >= state.value + _ARMIJO_COEFF * t * slope:
-            assert trial.value >= state.value, "accepted step must not decrease the dual"
-            return trial
+        lam = state.lam + t * direction
+        if np.isfinite(lam).all():
+            trial = is_dual_feasible(inst, lam)
+            if trial.feasible and trial.value >= state.value + _ARMIJO_COEFF * t * slope:
+                assert trial.value >= state.value, "accepted step must not decrease the dual"
+                return trial
         t *= _BACKTRACK_FACTOR
     return None
 
@@ -230,20 +235,23 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     status = SolveStatus.NO_FEASIBLE_START
     if state.feasible:
         trace.append(state.value)
-        while True:
-            grad = dual_gradient(state)
-            stationary = float(np.abs(grad).max()) <= opts.grad_tol
-            if stationary or iterations == opts.max_iter:
-                break
-            direction = _ascent_direction(inst, state, grad)
-            step = _backtrack(inst, state, grad, direction)
-            if step is None and direction is not grad:
-                step = _backtrack(inst, state, grad, grad)
-            if step is None or step.value == state.value:
-                break
-            state = step
-            iterations += 1
-            trace.append(state.value)
+        # Near the float64 limit the step arithmetic may overflow; the
+        # trials it spoils are infeasible (see _backtrack).
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                grad = dual_gradient(state)
+                stationary = float(np.abs(grad).max()) <= opts.grad_tol
+                if stationary or iterations == opts.max_iter:
+                    break
+                direction = _ascent_direction(inst, state, grad)
+                step = _backtrack(inst, state, grad, direction)
+                if step is None and direction is not grad:
+                    step = _backtrack(inst, state, grad, grad)
+                if step is None or step.value == state.value:
+                    break
+                state = step
+                iterations += 1
+                trace.append(state.value)
 
         tried = _primal_try(inst, _signs(state.x_of_lambda), iterations, trace)
         if tried is not None:

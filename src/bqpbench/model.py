@@ -202,7 +202,7 @@ def dual_hessian(state: DualState) -> np.ndarray:
     if not state.feasible:
         raise Infeasible("dual Hessian undefined: shifted matrix is not positive definite")
     factor = spd_factorize(q_of_lambda(state.q, state.lam))
-    inv = spd_solve(factor, np.eye(factor.n))
+    inv = spd_solve(factor, np.eye(state.lam.shape[0]))
     x = state.x_of_lambda
     h = -(x[:, None] * inv * x[None, :])
     return 0.5 * (h + h.T)

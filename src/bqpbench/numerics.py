@@ -2,7 +2,8 @@
 
 The rest of the package does its factorizations and solves here:
 Cholesky factorization as the only positive-definiteness witness (one
-LAPACK ``dpotrf`` call), solves against the factor (one LAPACK
+LAPACK ``dpotrf`` call, which returns the lower factor as a plain array
+or rejects the matrix), solves against that factor (one LAPACK
 ``dpotrs`` call), and the smallest eigenvalue of a symmetric matrix (one
 dense ``eigvalsh``).  Matrix-vector products stay with their callers, and
 ``verify.inertia_note``, an informational line of the CLI's ``verify``
@@ -26,7 +27,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,15 +68,7 @@ class DimensionMismatch(ValueError):
 
 
 class NotPositiveDefinite(Exception):
-    """Cholesky pivot failure: the matrix is not positive definite.
-
-    ``pivot`` is the index of the first pivot that fell below the
-    acceptance threshold.
-    """
-
-    def __init__(self, pivot: int):
-        super().__init__(f"not positive definite (pivot {pivot} failed)")
-        self.pivot = pivot
+    """Cholesky pivot failure: the matrix is not positive definite."""
 
 
 def require_symmetric(a) -> np.ndarray:
@@ -93,58 +85,39 @@ def require_symmetric(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpdFactor:
-    """Lower-triangular Cholesky factor L with A = L @ L.T.
+def spd_factorize(a, overwrite: bool = False) -> np.ndarray:
+    """Cholesky-factorize a symmetric matrix; return the lower factor L.
 
-    All diagonal entries of ``lower`` are strictly positive; existence of
-    this object is the computational witness that the factored matrix is
-    positive definite.
-    """
-
-    n: int
-    lower: np.ndarray
-
-
-def spd_factorize(a, overwrite: bool = False) -> SpdFactor:
-    """Cholesky-factorize a symmetric matrix, or fail with the bad pivot.
-
-    Succeeds exactly when the matrix is positive definite: every pivot
-    ``L[j, j]**2`` must exceed ``1e-12 * (1 + max |diagonal|)``, which
-    rejects the numerically singular weakly-dominant matrices that
-    row-sum shifted instances can produce.  LAPACK's ``dpotrf`` does the
-    factorization; when it stops at a non-positive pivot, an earlier
-    pivot below the tolerance is still the one reported.  Raises
-    :class:`NotPositiveDefinite` carrying the index of the first failing
-    pivot.  With ``overwrite`` a Fortran-ordered float array is factorized
-    in place and becomes ``lower``: the caller gives ``a`` up.
+    Succeeds exactly when the matrix is positive definite: LAPACK's
+    ``dpotrf`` must take every pivot, and every pivot ``L[j, j]**2`` must
+    exceed ``1e-12 * (1 + max |diagonal|)``, which rejects the numerically
+    singular weakly-dominant matrices that row-sum shifted instances can
+    produce.  Otherwise raises :class:`NotPositiveDefinite`.  ``L`` is a
+    plain lower-triangular float array with ``A = L @ L.T``; with
+    ``overwrite`` a Fortran-ordered float array is factorized in place and
+    becomes ``L``: the caller gives ``a`` up.
     """
     a = require_symmetric(a)
-    n = a.shape[0]
     pivot_tol = 1e-12 * (1.0 + float(np.abs(a.diagonal()).max()))
     lower, info = _flapack.dpotrf(a, lower=1, overwrite_a=overwrite)
-    # info > 0 names (1-based) the pivot LAPACK could not take; the
-    # pivots before it are valid and still face the tolerance.
-    checked = info - 1 if info > 0 else n
-    small = np.flatnonzero(~(lower.diagonal()[:checked] ** 2 > pivot_tol))
-    if small.size:
-        raise NotPositiveDefinite(int(small[0]))
-    if info > 0:
-        raise NotPositiveDefinite(info - 1)
-    return SpdFactor(n=n, lower=lower)
+    if info > 0 or not (lower.diagonal() ** 2 > pivot_tol).all():
+        raise NotPositiveDefinite("not positive definite")
+    return lower
 
 
-def spd_solve(factor: SpdFactor, b) -> np.ndarray:
-    """Solve A x = b through the Cholesky factor of A (LAPACK ``dpotrs``).
+def spd_solve(lower: np.ndarray, b) -> np.ndarray:
+    """Solve A x = b through the Cholesky factor ``lower`` of A (LAPACK
+    ``dpotrs``).
 
     ``b`` may be a vector or a matrix of stacked right-hand-side columns.
     """
     b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != factor.n:
+    n = lower.shape[0]
+    if b.ndim not in (1, 2) or b.shape[0] != n:
         raise DimensionMismatch(
-            f"right-hand side of shape {b.shape} does not match factor dimension {factor.n}"
+            f"right-hand side of shape {b.shape} does not match factor dimension {n}"
         )
-    x, _ = _flapack.dpotrs(factor.lower, b, lower=1)
+    x, _ = _flapack.dpotrs(lower, b, lower=1)
     return x
 
 

@@ -153,6 +153,15 @@ class TestSolve:
         assert proc.stderr == ""
         assert parsed_lines(proc.stdout)["status"] == "NoFeasibleStart"
 
+    def test_overflowing_step_reports_without_traceback(self, tmp_path):
+        # Finite data on which the solver's step arithmetic overflows.
+        path = tmp_path / "near_limit.bqp"
+        path.write_text("bqp 1\nn 2\nQ\n5e306 5e306\n5e306 7.5e306\nc\n5e306 5e306\n")
+        proc = run_cli("solve", str(path))
+        assert proc.returncode in (0, 1)
+        assert proc.stderr == ""
+        assert "status" in parsed_lines(proc.stdout)
+
     def test_undecodable_byte_is_parse_error(self, tmp_path):
         proc = run_cli("solve", str(undecodable_file(tmp_path)))
         assert proc.returncode == 4

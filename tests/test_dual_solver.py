@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,20 @@ class TestSolveBehavior:
         assert report.status is SolveStatus.NO_FEASIBLE_START
         assert report.iterations == 0 and report.x is None
         np.testing.assert_array_equal(report.lam, state.lam)
+
+    def test_overflowing_step_is_an_infeasible_trial(self):
+        # Finite data near the float64 limit: the Newton direction at the
+        # start overflows, and its trial lam that is not finite counts as
+        # an infeasible trial.  The solve reports, and no warning escapes.
+        inst = BqpInstance([[5e306, 5e306], [5e306, 7.5e306]], [5e306, 5e306])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_dual(inst)
+        assert report.status in (SolveStatus.CERTIFIED, SolveStatus.MAX_ITERATIONS,
+                                 SolveStatus.STATIONARY_NOT_BOOLEAN)
+        assert np.isfinite(report.lam).all() and np.isfinite(report.dual_value)
+        assert (np.diff(report.dual_trace) >= 0.0).all()
+        assert report.dual_trace[-1] == report.dual_value
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
