@@ -14,17 +14,22 @@ instance already holds.
 Otherwise the dual is maximized from a diagonally dominant start.  It is
 smooth and concave where the shifted matrix is positive definite, and
 that set is open, so every step is backtracked first into feasibility
-and then until an Armijo ascent condition holds.  The Newton direction
-needs no second factorization: with ``X = diag(x(lam))`` the negated
-Hessian is ``X (Q + diag(lam))^-1 X``, so the step solving ``-H d =
-grad`` is ``X^-1 (Q + diag(lam)) X^-1 grad``, one matrix-vector
-product.  When some ``|x_i(lam)|`` falls below ``1e-3`` that formula
-divides by near-zeros (and ``-H`` is singular at an exact zero), so the
-solver steps along the gradient instead; it never forms a matrix other
-than ``Q + diag(lam)``.  The ascent stops at a stationary point, at the
-iteration budget, or at a step that leaves the dual value bitwise
-unchanged.  Wherever it stops, the primal try runs once more, on the
-signs of the final ``x(lam)``; it is the only way a solve certifies.
+and then until an Armijo ascent condition holds.  The backtracking is
+warm-started: the first one of a solve starts at the full step ``t =
+1`` and each later one at twice the last accepted step (at most 1), so
+an ascent that creeps along the boundary, where the accepted steps are
+short, tests a few trial points per step instead of halving down from 1
+every time.  The Newton direction needs no second factorization: with
+``X = diag(x(lam))`` the negated Hessian is ``X (Q + diag(lam))^-1 X``,
+so the step solving ``-H d = grad`` is ``X^-1 (Q + diag(lam)) X^-1
+grad``, one matrix-vector product.  When some ``|x_i(lam)|`` falls
+below ``1e-3`` that formula divides by near-zeros (and ``-H`` is
+singular at an exact zero), so the solver steps along the gradient
+instead; it never forms a matrix other than ``Q + diag(lam)``.  The
+ascent stops at a stationary point, at the iteration budget, or at a
+step that leaves the dual value bitwise unchanged.  Wherever it stops,
+the primal try runs once more, on the signs of the final ``x(lam)``; it
+is the only way a solve certifies.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from .verify import check_certificate
 
 _MAX_BACKTRACKS = 60
 _BACKTRACK_FACTOR = 0.5
+# Each backtrack starts at min(1, _STEP_GROWTH * the last accepted step).
+_STEP_GROWTH = 2.0
 _ARMIJO_COEFF = 1e-4
 _MAX_SHIFT_DOUBLINGS = 60
 # Below this min |x_i(lam)| the closed-form step divides by near-zeros.
@@ -63,9 +70,11 @@ class SolveStatus(str, Enum):
 class SolveOptions:
     """Stopping rule of :func:`solve_dual`.
 
-    The line search is set by module constants: each backtrack scales
-    the step by ``_BACKTRACK_FACTOR = 0.5``, at most
-    ``_MAX_BACKTRACKS = 60`` times, and a step is accepted when the
+    The line search is set by module constants: a backtrack starts at
+    ``t = 1`` on the first step of a solve and at ``min(1, _STEP_GROWTH
+    * t_last)`` (``_STEP_GROWTH = 2``) after an accepted step ``t_last``,
+    scales the step by ``_BACKTRACK_FACTOR = 0.5`` at most
+    ``_MAX_BACKTRACKS = 60`` times from there, and accepts it when the
     Armijo condition with ``_ARMIJO_COEFF = 1e-4`` holds.
     """
 
@@ -181,26 +190,28 @@ def _primal_try(inst: BqpInstance, x: np.ndarray, iterations: int, trace: list[f
     )
 
 
-def _backtrack(inst, state, grad, direction):
-    """Shrink the step until the trial point is feasible and Armijo holds.
+def _backtrack(inst, state, grad, direction, t0):
+    """Shrink the step from ``t0`` until the trial point is feasible and
+    Armijo holds.
 
-    Returns the accepted dual state, or None when no trial passes within
-    60 shrinks in total across the feasibility and ascent phases.  A trial
-    ``lam`` that is not finite (the step overflowed float64) is an
-    infeasible trial, as an overflowing shifted diagonal is in
-    :func:`is_dual_feasible`.  (An accepted trial can be ``state`` itself:
-    a step too small to move ``lam`` gets the instance's memoized state
-    back.)
+    Returns the accepted dual state and the step ``t`` it was accepted at,
+    or None when none of the 60 trials ``t = t0, t0/2, ..., t0 * 2^-59``
+    passes: the budget is shared by the feasibility and ascent phases and
+    counts down from ``t0``, not from 1.  A trial ``lam`` that is not
+    finite (the step overflowed float64) is an infeasible trial, as an
+    overflowing shifted diagonal is in :func:`is_dual_feasible`.  (An
+    accepted trial can be ``state`` itself: a step too small to move
+    ``lam`` gets the instance's memoized state back.)
     """
     slope = float(grad @ direction)
-    t = 1.0
+    t = t0
     for _ in range(_MAX_BACKTRACKS):
         lam = state.lam + t * direction
         if np.isfinite(lam).all():
             trial = is_dual_feasible(inst, lam)
             if trial.feasible and trial.value >= state.value + _ARMIJO_COEFF * t * slope:
                 assert trial.value >= state.value, "accepted step must not decrease the dual"
-                return trial
+                return trial, t
         t *= _BACKTRACK_FACTOR
     return None
 
@@ -216,22 +227,24 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
     leaves the dual value bitwise unchanged (MaxIterations, as a full
     budget of such steps would report).  The gradient is tested after
     the last step too, so a run that becomes stationary on its final
-    iteration is reported stationary.  A Newton backtrack in which no
-    trial passes falls back to a plain gradient step.  Wherever the
-    ascent stops, the primal try runs on the signs of the final
-    ``x(lam)`` (0 -> +1) and certifies at ``lam(x)``.  If it fails, the
-    report holds the ascent's final ``lam``, no ``x`` and the status
-    StationaryNotBoolean or MaxIterations.  When :func:`initial_point`
-    finds no feasible start, no ascent runs and the report holds its
-    ``lam``, no ``x_raw``, its NaN dual value, an empty trace and the
-    status NoFeasibleStart.
+    iteration is reported stationary.  Each backtrack starts at ``t =
+    min(1, _STEP_GROWTH * t_last)``, ``t_last`` being the last accepted
+    step (``t = 1`` on the first step).  A Newton backtrack in which no
+    trial passes falls back to a plain gradient step from the same
+    starting ``t``.  Wherever the ascent stops, the primal try runs on
+    the signs of the final ``x(lam)`` (0 -> +1) and certifies at
+    ``lam(x)``.  If it fails, the report holds the ascent's final
+    ``lam``, no ``x`` and the status StationaryNotBoolean or
+    MaxIterations.  When :func:`initial_point` finds no feasible start,
+    no ascent runs and the report holds its ``lam``, no ``x_raw``, its
+    NaN dual value, an empty trace and the status NoFeasibleStart.
     """
     opts = opts or SolveOptions()
     first = _primal_try(inst, _signs(inst.c), 0, [])
     if first is not None:
         return first
     state = initial_point(inst)
-    trace, iterations = [], 0
+    trace, iterations, t0 = [], 0, 1.0
     status = SolveStatus.NO_FEASIBLE_START
     if state.feasible:
         trace.append(state.value)
@@ -244,12 +257,13 @@ def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveRepo
                 if stationary or iterations == opts.max_iter:
                     break
                 direction = _ascent_direction(inst, state, grad)
-                step = _backtrack(inst, state, grad, direction)
-                if step is None and direction is not grad:
-                    step = _backtrack(inst, state, grad, grad)
-                if step is None or step.value == state.value:
+                accepted = _backtrack(inst, state, grad, direction, t0)
+                if accepted is None and direction is not grad:
+                    accepted = _backtrack(inst, state, grad, grad, t0)
+                if accepted is None or accepted[0].value == state.value:
                     break
-                state = step
+                state, t = accepted
+                t0 = min(1.0, _STEP_GROWTH * t)
                 iterations += 1
                 trace.append(state.value)
 

@@ -108,11 +108,12 @@ class DualState:
     ``x_of_lambda`` solves ``(q + diag(lam)) x = c`` where the shift is
     positive definite (``feasible``), else None; ``q`` is the instance's
     read-only matrix itself.  ``value`` is the dual function
-    ``-0.5 * c'x(lam) - 0.5 * sum(lam)`` at a feasible state and NaN (the
-    default) at an infeasible one, where the dual is undefined.  A
-    feasible state may be handed to every later caller at the same ``lam``
-    (see :func:`is_dual_feasible`), so its ``lam`` and ``x_of_lambda`` are
-    read-only and ``lam`` is its own copy.
+    ``-0.5 * c'x(lam) - 0.5 * sum(lam)`` at a feasible state (-inf where
+    that overflows float64) and NaN (the default) at an infeasible one,
+    where the dual is undefined.  A feasible state may be handed to every
+    later caller at the same ``lam`` (see :func:`is_dual_feasible`), so
+    its ``lam`` and ``x_of_lambda`` are read-only and ``lam`` is its own
+    copy.
     """
 
     lam: np.ndarray
@@ -147,7 +148,9 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     and factorized once, in place; ``x(lam)`` is one solve against that
     factor, which is then let go, so the state holds no n x n array.  The
     dual value ``-0.5 * c'x(lam) - 0.5 * sum(lam)`` is computed here, once,
-    and stored as ``value``.  Infeasibility is a state, not an error: the
+    and stored as ``value``; where that sum overflows float64 (data near
+    the limit) the value is -inf, still a valid lower bound, so NaN means
+    infeasible only.  Infeasibility is a state, not an error: the
     returned object simply carries ``x_of_lambda=None`` (``feasible``
     false) and a NaN ``value``.  A shifted diagonal that overflows float64
     is infeasible too.
@@ -176,7 +179,10 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     x = spd_solve(factor, inst.c)
     for owned in (lam, x):
         owned.flags.writeable = False
-    value = float(-0.5 * (inst.c @ x) - 0.5 * lam.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(-0.5 * (inst.c @ x) - 0.5 * lam.sum())
+    if not math.isfinite(value):
+        value = -math.inf
     inst._dual_memo = DualState(lam=lam, q=inst.q, x_of_lambda=x, value=value)
     return inst._dual_memo
 

@@ -227,6 +227,20 @@ class TestVerify:
         assert proc.stderr == "line 4: byte 0xff does not decode as UTF-8\n"
         assert proc.stdout == ""
 
+    def test_near_limit_certificate_under_warnings_as_errors(self, tmp_path):
+        # The dual value overflows to -inf: verify reports the failed gap
+        # and exits 1, with no warning (an error under -W error).
+        path = tmp_path / "limit.bqp"
+        path.write_text("bqp 1\nn 2\nQ\n5e306 5e306\n5e306 7.5e306\nc\n5e306 5e306\n"
+                        "x\n1 -1\nlambda\n1e308 1e308\n")
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "bqpbench", "verify", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        fields = parsed_lines(proc.stdout)
+        assert fields["overall"] == "false"
+        assert fields["gap"] == "inf"
+
     def test_tampered_certificate_fails(self, tmp_path):
         text = (FIXTURES / "example1.bqp").read_text()
         tampered = tmp_path / "tampered.bqp"

@@ -7,6 +7,7 @@ import golden_data as gold
 from conftest import load_fixture_text, report_bits, spectral_instance
 from bqpbench import (
     BqpInstance,
+    DualState,
     GenConfig,
     SolveOptions,
     SolveStatus,
@@ -367,13 +368,14 @@ class TestPrimalTry:
     def test_first_try_miss_is_certified_where_the_ascent_stops(self):
         # fixtures/ascent8.bqp: sign(c) is not the planted x, and the descent
         # from it does not reach x, so the ascent runs; the try on the signs
-        # of its final x(lam) certifies x at exactly the planted lam.
+        # of its final x(lam) certifies x at exactly the planted lam, after 9
+        # ascent steps.
         f = parse_instance(load_fixture_text("ascent8.bqp"))
         inst, cert = f.instance, f.certificate
         assert (np.sign(inst.c) != cert.x).any()
         report = solve_dual(inst)
         assert report.status is SolveStatus.CERTIFIED
-        assert report.iterations == 8
+        assert report.iterations == 9
         np.testing.assert_array_equal(report.x, cert.x)
         np.testing.assert_array_equal(report.lam, cert.lam)
         assert report.dual_trace[-1] == report.dual_value
@@ -404,14 +406,115 @@ class TestPrimalTry:
                 flipped[i] = -flipped[i]
                 assert objective_value(inst, flipped) >= f
 
-    def test_flat_step_ends_the_ascent(self):
-        # The gradient fallback crawled here for all 100 iterations with
-        # steps of about 3.6e-15 that left the dual value unchanged.
+    def test_flat_step_ends_the_ascent(self, monkeypatch):
+        # The gradient fallback once crawled here for all 100 iterations
+        # with steps of about 3.6e-15 that left the dual value unchanged.
+        # The warm-started line search ends it after 37 steps, on a Newton
+        # step of t ~ 2.2e-19 that leaves the value unchanged.
+        import bqpbench.dual_solver as ds
+
+        steps = []
+        real = ds._backtrack
+        monkeypatch.setattr(ds, "_backtrack", lambda *args: steps.append(real(*args)) or steps[-1])
         report = solve_dual(unplanted_instance(24, 2746936418))
         assert report.status is SolveStatus.MAX_ITERATIONS
         assert report.iterations < 100
-        assert report.dual_value == pytest.approx(-1491.613852547064, rel=1e-12, abs=0.0)
+        assert report.dual_value == pytest.approx(-1520.3946605885887, rel=1e-12, abs=0.0)
         assert len(report.dual_trace) == report.iterations + 1
+        # One backtrack per accepted step, then the flat one that ends it.
+        assert len(steps) == report.iterations + 1
+        flat, _ = steps[-1]
+        assert flat.value == report.dual_value
+
+
+class TestLineSearch:
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        """Every lam that the solver tests with is_dual_feasible."""
+        import bqpbench.dual_solver as ds
+
+        tested = []
+        monkeypatch.setattr(ds, "is_dual_feasible", lambda inst, lam: tested.append(lam) or is_dual_feasible(inst, lam))
+        return tested
+
+    def test_few_trials_per_accepted_step(self, trials):
+        # Restarting every backtrack at t = 1 made 993 tests for 27 steps
+        # here, most of them infeasible; the warm start makes about 4.
+        report = solve_dual(unplanted_instance(24, 11))
+        assert report.status is SolveStatus.MAX_ITERATIONS
+        assert report.iterations > 0
+        assert len(trials) < 8 * report.iterations
+
+    def test_first_trial_is_the_full_step(self, trials):
+        import bqpbench.dual_solver as ds
+
+        inst = unplanted_instance(24, 11)
+        start = initial_point(inst)
+        direction = ds._ascent_direction(inst, start, dual_gradient(start))
+        trials.clear()
+        solve_dual(inst)
+        k = next(i for i, lam in enumerate(trials) if np.array_equal(lam, start.lam))
+        np.testing.assert_array_equal(trials[k + 1], start.lam + direction)
+
+    def test_each_backtrack_starts_at_twice_the_last_accepted_step(self, monkeypatch):
+        import bqpbench.dual_solver as ds
+
+        calls = []
+        real = ds._backtrack
+
+        def recorded(inst, state, grad, direction, t0):
+            accepted = real(inst, state, grad, direction, t0)
+            calls.append((t0, None if accepted is None else accepted[1]))
+            return accepted
+
+        monkeypatch.setattr(ds, "_backtrack", recorded)
+        report = ds.solve_dual(unplanted_instance(24, 11))
+        assert len(calls) == report.iterations + 1
+        assert calls[0][0] == 1.0
+        for (_, t), (t0, _) in zip(calls, calls[1:]):
+            assert t0 == min(1.0, 2.0 * t)
+        assert min(t0 for t0, _ in calls) < 1.0
+
+    def test_gradient_fallback_starts_where_the_newton_backtrack_did(self, monkeypatch):
+        import bqpbench.dual_solver as ds
+
+        calls = []
+        real = ds._backtrack
+
+        def newton_fails(inst, state, grad, direction, t0):
+            newton = direction is not grad
+            accepted = None if newton else real(inst, state, grad, direction, t0)
+            calls.append((newton, t0, accepted))
+            return accepted
+
+        monkeypatch.setattr(ds, "_backtrack", newton_fails)
+        report = ds.solve_dual(unplanted_instance(24, 11), SolveOptions(max_iter=6))
+        assert report.iterations == 6
+        newton, fallback = calls[0::2], calls[1::2]
+        assert len(newton) == len(fallback) == 6
+        assert all(n and not g for (n, _, _), (g, _, _) in zip(newton, fallback))
+        assert [t0 for _, t0, _ in newton] == [t0 for _, t0, _ in fallback]
+        assert newton[0][1] == 1.0
+        for (_, _, (_, t)), (_, t0, _) in zip(fallback, newton[1:]):
+            assert t0 == min(1.0, 2.0 * t)
+
+    def test_budget_counts_down_from_the_starting_step(self, monkeypatch):
+        import bqpbench.dual_solver as ds
+
+        inst = unplanted_instance(24, 11)
+        state = initial_point(inst)
+        grad = dual_gradient(state)
+        tested = []
+
+        def never_feasible(inst, lam):
+            tested.append(lam)
+            return DualState(lam=lam, q=inst.q, x_of_lambda=None)
+
+        monkeypatch.setattr(ds, "is_dual_feasible", never_feasible)
+        assert ds._backtrack(inst, state, grad, grad, 0.375) is None
+        assert len(tested) == 60
+        for k, lam in enumerate(tested):
+            np.testing.assert_array_equal(lam, state.lam + (0.375 * 0.5 ** k) * grad)
 
 
 class TestNewtonDirection:

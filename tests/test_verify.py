@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bqpbench import (
     generate_instance,
     is_dual_feasible,
     objective_value,
+    parse_instance,
     schur_block_psd,
     solve_dual,
     spd_solve,
@@ -140,6 +142,19 @@ class TestCheckCertificate:
         assert repr(verify_certificate(inst, Certificate(x=[1.0], lam=[1e308]))) == repr(report)
         is_psd, schur = schur_block_psd(inst, [1e308], 0.0)
         assert is_psd is False and math.isnan(schur)
+
+    def test_near_limit_dual_value_is_minus_inf_without_warning(self):
+        # A valid certificate whose sum(lam) overflows float64: the dual
+        # value is -inf, still a lower bound, and the gap is inf.
+        f = parse_instance("bqp 1\nn 2\nQ\n5e306 5e306\n5e306 7.5e306\nc\n5e306 5e306\n"
+                           "x\n1 -1\nlambda\n1e308 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_certificate(f.instance, f.certificate)
+            state = is_dual_feasible(f.instance, f.certificate.lam)
+        assert report.pd_ok and report.boolean_ok and not report.overall
+        assert report.gap == math.inf
+        assert state.feasible and state.value == -math.inf
 
 
 class TestDualityGap:
