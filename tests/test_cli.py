@@ -5,6 +5,8 @@ import sys
 import numpy as np
 
 import golden_data as gold
+from bqpbench import BqpInstance, GenConfig, cli, generate_instance, solve_dual
+from bqpbench.fileio import format_number
 from conftest import FIXTURES
 
 
@@ -325,6 +327,29 @@ class TestBench:
             ["5", "0"], ["5", "1"], ["8", "0"], ["8", "1"],
         ]
         assert all(line.endswith(",true") for line in lines[1:])
+
+    def test_solve_ms_times_a_solve_that_factorizes(self, tmp_path, monkeypatch, factorizations):
+        # A generated instance holds its planted dual point: a solve of it
+        # is a memo hit that factorizes nothing, so bench solves a fresh
+        # instance of the same data, with the gap of any re-solve.
+        per_solve = []
+        real = cli.solve_dual
+
+        def counted(inst, *args):
+            before = len(factorizations)
+            report = real(inst, *args)
+            per_solve.append(len(factorizations) - before)
+            return report
+
+        monkeypatch.setattr(cli, "solve_dual", counted)
+        csv_path = tmp_path / "b.csv"
+        assert cli.main(["bench", "--sizes", "20,30", "--seeds", "2", "--csv", str(csv_path)]) == 0
+        assert len(per_solve) == 4
+        assert min(per_solve) >= 1
+        for line in csv_path.read_text().splitlines()[1:]:
+            n, seed, _, _, _, gap, _ = line.split(",")
+            inst, _ = generate_instance(GenConfig(n=int(n), seed=int(seed)))
+            assert gap == format_number(solve_dual(BqpInstance(inst.q, inst.c)).gap)
 
     def test_unwritable_csv_path(self, tmp_path):
         target = tmp_path / "no" / "b.csv"

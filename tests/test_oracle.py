@@ -157,10 +157,11 @@ def test_pruned_result_is_the_full_scan_bitwise(seed):
 
 @pytest.fixture
 def evaluated_blocks(monkeypatch):
-    """The prefix of every block the oracle evaluates, in call order."""
+    """The prefix of every block the oracle evaluates, in call order: each
+    call evaluates one row of prefixes per block."""
     prefixes = []
     real = oracle._block_values
-    monkeypatch.setattr(oracle, "_block_values", lambda p, *rest: prefixes.append(tuple(p)) or real(p, *rest))
+    monkeypatch.setattr(oracle, "_block_values", lambda p, *rest: prefixes.extend(map(tuple, p)) or real(p, *rest))
     return prefixes
 
 
