@@ -6,6 +6,7 @@ import pytest
 import golden_data as gold
 import bqpbench.oracle as oracle
 from bqpbench import BqpInstance, GenConfig, TooLarge, brute_force_minimize, generate_instance, objective_value
+from bqpbench.fileio import parse_instance
 
 
 def exhaustive_reference(inst):
@@ -165,6 +166,15 @@ def evaluated_blocks(monkeypatch):
     return prefixes
 
 
+@pytest.fixture
+def head_bounded_blocks(monkeypatch):
+    """The prefix of every block the oracle computes a head bound for."""
+    prefixes = []
+    real = oracle._head_bounds
+    monkeypatch.setattr(oracle, "_head_bounds", lambda p, *rest: prefixes.extend(map(tuple, p)) or real(p, *rest))
+    return prefixes
+
+
 def test_pruning_skips_most_blocks_of_a_planted_instance(evaluated_blocks):
     # n = 25 has 2^12 = 4096 blocks; the planted minimum bounds out all
     # but a few of them.
@@ -195,3 +205,39 @@ def test_no_block_is_skipped_where_the_data_scale_overflows(evaluated_blocks, di
     assert result.best_x[0] == 1.0
     assert result.minimizer_count == 2 ** (n - 1)
     assert len(set(evaluated_blocks)) == evaluated
+
+
+def test_head_bound_prunes_the_pool(evaluated_blocks):
+    # With the L1 bound alone, the 8 pool instances evaluate 659 block
+    # rows over both passes; the head bound cuts that to 134.
+    for seed in POOL_SEEDS:
+        brute_force_minimize(kind_b_instance(seed, 24))
+    assert len(evaluated_blocks) <= 200
+
+
+def test_head_bounds_are_lazy_on_a_planted_instance(head_bounded_blocks):
+    # Only the blocks within the L1 frontier of the first block's minimum
+    # get a head bound: a handful of the 4096 blocks at n = 25.
+    inst, cert = generate_instance(GenConfig(n=25, seed=0))
+    result = brute_force_minimize(inst)
+    np.testing.assert_array_equal(result.best_x, cert.x)
+    assert 0 < len(head_bounded_blocks) < 0.01 * 4096
+
+
+# The oracle's result on fixtures/unplanted24.bqp, taken before the head
+# bound existed.
+UNPLANTED24_X = np.array([-1, 1, -1, -1, -1, 1, -1, 1, 1, 1, -1, 1, -1, 1, 1, 1, -1, 1, -1, -1, 1, 1, -1, -1],
+                         dtype=float)
+UNPLANTED24_VALUE = -682.5
+
+
+def test_unplanted_fixture_golden(fixtures_dir):
+    inst = parse_instance((fixtures_dir / "unplanted24.bqp").read_text(encoding="utf-8")).instance
+    expected = kind_b_instance(POOL_SEEDS[0], 24)
+    # Equal values; the file writes the generator's -0.0 entries as 0.
+    np.testing.assert_array_equal(inst.q, expected.q)
+    np.testing.assert_array_equal(inst.c, expected.c)
+    result = brute_force_minimize(inst)
+    assert result.best_x.tobytes() == UNPLANTED24_X.tobytes()
+    assert np.float64(result.best_value).tobytes() == np.float64(UNPLANTED24_VALUE).tobytes()
+    assert result.minimizer_count == 1
