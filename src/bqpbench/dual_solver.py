@@ -14,7 +14,11 @@ instance already holds.
 Otherwise the dual is maximized from a diagonally dominant start.  It is
 smooth and concave where the shifted matrix is positive definite, and
 that set is open, so every step is backtracked first into feasibility
-and then until an Armijo ascent condition holds.  The backtracking is
+and then until an Armijo ascent condition holds.  The start point and
+the primal tries test their multipliers with the validating
+:func:`model.is_dual_feasible`; the backtracking tests the trial points
+it forms itself with ``model._trial_state``, which checks neither ``Q``
+nor ``lam`` again and gives the same states.  The backtracking is
 warm-started: the first one of a solve starts at the full step ``t =
 1`` and each later one at twice the last accepted step (at most 1), so
 an ascent that creeps along the boundary, where the accepted steps are
@@ -43,6 +47,7 @@ import numpy as np
 from .model import (
     BqpInstance,
     DualState,
+    _trial_state,
     dual_gradient,
     is_dual_feasible,
     require_count,
@@ -197,21 +202,22 @@ def _backtrack(inst, state, grad, direction, t0):
     Returns the accepted dual state and the step ``t`` it was accepted at,
     or None when none of the 60 trials ``t = t0, t0/2, ..., t0 * 2^-59``
     passes: the budget is shared by the feasibility and ascent phases and
-    counts down from ``t0``, not from 1.  A trial ``lam`` that is not
-    finite (the step overflowed float64) is an infeasible trial, as an
-    overflowing shifted diagonal is in :func:`is_dual_feasible`.  (An
-    accepted trial can be ``state`` itself: a step too small to move
-    ``lam`` gets the instance's memoized state back.)
+    counts down from ``t0``, not from 1.  Each trial ``lam`` is a fresh
+    array formed here, so :func:`model._trial_state` tests it without
+    validating it again; it runs under :func:`solve_dual`'s
+    ``np.errstate``.  A trial ``lam`` that is not finite (the step
+    overflowed float64) fails that entry's pivot rule, so it is an
+    infeasible trial, as an overflowing shifted diagonal is.  (An accepted
+    trial can be ``state`` itself: a step too small to move ``lam`` gets
+    the instance's memoized state back, from either entry.)
     """
     slope = float(grad @ direction)
     t = t0
     for _ in range(_MAX_BACKTRACKS):
-        lam = state.lam + t * direction
-        if np.isfinite(lam).all():
-            trial = is_dual_feasible(inst, lam)
-            if trial.feasible and trial.value >= state.value + _ARMIJO_COEFF * t * slope:
-                assert trial.value >= state.value, "accepted step must not decrease the dual"
-                return trial, t
+        trial = _trial_state(inst, state.lam + t * direction)
+        if trial.feasible and trial.value >= state.value + _ARMIJO_COEFF * t * slope:
+            assert trial.value >= state.value, "accepted step must not decrease the dual"
+            return trial, t
         t *= _BACKTRACK_FACTOR
     return None
 

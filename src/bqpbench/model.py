@@ -12,6 +12,14 @@ Each instance memoizes its last feasible dual state, so a multiplier
 point that the generator, the solver, ``verify`` and the Schur check all
 ask about is factorized once.  The explicit Hessian factorizes again and costs n more
 solves; it is a reference for the solver's Newton step.
+
+A dual state is built by one of two entries with the same results.
+:func:`is_dual_feasible` validates ``lam`` and factorizes through
+:func:`numerics.spd_factorize`; the generator, ``verify``, the Schur
+check, the solver's start point and its primal tries use it.  The
+solver's line search, which forms each trial ``lam`` itself, uses the
+private ``_trial_state``, which validates nothing again and factorizes
+through the Cholesky kernel directly.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import numpy as np
 from .numerics import (
     DimensionMismatch,
     NotPositiveDefinite,
+    _cholesky,
     require_symmetric,
     spd_factorize,
     spd_solve,
@@ -161,11 +170,15 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     is factorized at most once while it is the instance's latest.  The
     state keeps a read-only copy of ``lam``, so writing into the caller's
     array afterwards only makes the next call miss.
+
+    This is the validating entry, for any caller: ``lam`` is checked with
+    :func:`as_vector` and the shift with :func:`numerics.spd_factorize`.
+    The solver's line search tests the multipliers it forms itself
+    through :func:`_trial_state` instead, with the same results.
     """
     lam = as_vector(lam, inst.n)
-    # Read once: another thread may replace the memo but never changes a state.
-    memo = inst._dual_memo
-    if memo is not None and memo.lam.tobytes() == lam.tobytes():
+    memo = _memo_hit(inst, lam)
+    if memo is not None:
         return memo
     # Q is exactly symmetric, so the transposed copy is Q in Fortran order.
     shifted = inst.q.copy().T
@@ -175,12 +188,51 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
         factor = spd_factorize(shifted, overwrite=True)
     except (FloatingPointError, NotPositiveDefinite):
         return DualState(lam=lam, q=inst.q, x_of_lambda=None)
-    lam = lam.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _feasible_state(inst, lam.copy(), factor)
+
+
+def _trial_state(inst: BqpInstance, lam: np.ndarray) -> DualState:
+    """:func:`is_dual_feasible` for multipliers the caller formed itself.
+
+    ``lam`` must be a fresh float64 vector of length ``inst.n`` that the
+    caller never writes again: the state keeps it, read-only, without a
+    copy.  The call must run under the caller's ``np.errstate(over=
+    "ignore", invalid="ignore")``.  Nothing is validated again: ``inst.q``
+    was when the instance was built, and the shift is factorized by
+    :func:`numerics._cholesky` directly.  The results are those of
+    :func:`is_dual_feasible`, bit for bit, memo included.  A shifted
+    diagonal that overflows, and a ``lam`` that is not finite, fail the
+    kernel's pivot rule, so such a trial is infeasible.
+    """
+    memo = _memo_hit(inst, lam)
+    if memo is not None:
+        return memo
+    shifted = inst.q.copy().T
+    shifted.reshape(-1, order="F")[:: inst.n + 1] += lam
+    factor = _cholesky(shifted)
+    if factor is None:
+        return DualState(lam=lam, q=inst.q, x_of_lambda=None)
+    return _feasible_state(inst, lam, factor)
+
+
+def _memo_hit(inst: BqpInstance, lam: np.ndarray) -> DualState | None:
+    """The instance's memoized state if its ``lam`` is bitwise ``lam``."""
+    # Read once: another thread may replace the memo but never changes a state.
+    memo = inst._dual_memo
+    if memo is not None and memo.lam.tobytes() == lam.tobytes():
+        return memo
+    return None
+
+
+def _feasible_state(inst: BqpInstance, lam: np.ndarray, factor: np.ndarray) -> DualState:
+    """Solve ``x(lam)`` through ``factor``, take the dual value and memoize
+    the state; ``lam`` becomes the state's own.  Runs under the caller's
+    ``np.errstate``, which must ignore overflow and invalid results."""
     x = spd_solve(factor, inst.c)
     for owned in (lam, x):
         owned.flags.writeable = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(-0.5 * (inst.c @ x) - 0.5 * lam.sum())
+    value = float(-0.5 * (inst.c @ x) - 0.5 * lam.sum())
     if not math.isfinite(value):
         value = -math.inf
     inst._dual_memo = DualState(lam=lam, q=inst.q, x_of_lambda=x, value=value)

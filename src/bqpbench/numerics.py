@@ -9,7 +9,11 @@ dense ``eigvalsh``).  Matrix-vector products stay with their callers, and
 ``verify.inertia_note``, an informational line of the CLI's ``verify``
 output, calls ``numpy.linalg.eigvalsh`` itself.  Matrices are plain
 float64 numpy arrays; symmetry is validated exactly (entrywise equality)
-at every entry point.
+at every public entry point.  The pivot rule lives in one private kernel,
+``_cholesky``, which validates nothing: :func:`spd_factorize` is
+``require_symmetric`` plus that kernel, and ``model._trial_state``, which
+tests the solver's line-search trials on an instance's already validated
+matrix, calls the kernel directly.
 
 LAPACK comes from scipy's compiled f2py wrappers, the same objects that
 ``scipy.linalg.lapack`` exposes.  Their extension module
@@ -85,22 +89,40 @@ def require_symmetric(a) -> np.ndarray:
     return a
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of ``a``, or None where the pivot rule
+    rejects it.
+
+    ``a`` is a square, symmetric, Fortran-ordered float64 array that the
+    caller gives up: LAPACK's ``dpotrf`` factorizes it in place.  The
+    pivot rule: ``dpotrf`` must take every pivot, and every pivot
+    ``L[j, j]**2`` must exceed ``1e-12 * (1 + max |diagonal of a|)``.  A
+    diagonal that is not finite makes that tolerance inf or NaN, so such
+    a matrix is rejected too, without a check of its own.  Nothing else
+    about ``a`` is checked here; :func:`spd_factorize` is the validating
+    entry.
+    """
+    pivot_tol = 1e-12 * (1.0 + float(np.abs(a.diagonal()).max()))
+    lower, info = _flapack.dpotrf(a, lower=1, overwrite_a=1)
+    if info > 0 or not lower.diagonal().min() ** 2 > pivot_tol:
+        return None
+    return lower
+
+
 def spd_factorize(a, overwrite: bool = False) -> np.ndarray:
     """Cholesky-factorize a symmetric matrix; return the lower factor L.
 
-    Succeeds exactly when the matrix is positive definite: LAPACK's
-    ``dpotrf`` must take every pivot, and every pivot ``L[j, j]**2`` must
-    exceed ``1e-12 * (1 + max |diagonal|)``, which rejects the numerically
+    Succeeds exactly when the matrix is positive definite under the
+    pivot rule of :func:`_cholesky`, which rejects the numerically
     singular weakly-dominant matrices that row-sum shifted instances can
-    produce.  Otherwise raises :class:`NotPositiveDefinite`.  ``L`` is a
+    produce; otherwise raises :class:`NotPositiveDefinite`.  ``L`` is a
     plain lower-triangular float array with ``A = L @ L.T``; with
     ``overwrite`` a Fortran-ordered float array is factorized in place and
     becomes ``L``: the caller gives ``a`` up.
     """
     a = require_symmetric(a)
-    pivot_tol = 1e-12 * (1.0 + float(np.abs(a.diagonal()).max()))
-    lower, info = _flapack.dpotrf(a, lower=1, overwrite_a=overwrite)
-    if info > 0 or not (lower.diagonal() ** 2 > pivot_tol).all():
+    lower = _cholesky(a if overwrite else np.array(a, order="F"))
+    if lower is None:
         raise NotPositiveDefinite("not positive definite")
     return lower
 

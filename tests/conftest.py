@@ -27,12 +27,16 @@ def spectral_instance(n, seed, margin=1.0):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Every spd_factorize call; the generator's go through the model too."""
+    """Every factorization the model makes: is_dual_feasible's through
+    spd_factorize (the generator's go through it too) and the solver
+    trials' through the Cholesky kernel itself."""
     import bqpbench.model
 
     calls = []
-    real = bqpbench.model.spd_factorize
-    monkeypatch.setattr(bqpbench.model, "spd_factorize", lambda a, **kw: calls.append(1) or real(a, **kw))
+    for name in ("spd_factorize", "_cholesky"):
+        real = getattr(bqpbench.model, name)
+        monkeypatch.setattr(bqpbench.model, name,
+                            lambda a, real=real, **kw: calls.append(1) or real(a, **kw))
     return calls
 
 
