@@ -180,11 +180,9 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     memo = _memo_hit(inst, lam)
     if memo is not None:
         return memo
-    # Q is exactly symmetric, so the transposed copy is Q in Fortran order.
-    shifted = inst.q.copy().T
     try:
         with np.errstate(over="raise"):
-            shifted.reshape(-1, order="F")[:: inst.n + 1] += lam
+            shifted = _shifted(inst, lam)
         factor = spd_factorize(shifted, overwrite=True)
     except (FloatingPointError, NotPositiveDefinite):
         return DualState(lam=lam, q=inst.q, x_of_lambda=None)
@@ -208,12 +206,19 @@ def _trial_state(inst: BqpInstance, lam: np.ndarray) -> DualState:
     memo = _memo_hit(inst, lam)
     if memo is not None:
         return memo
-    shifted = inst.q.copy().T
-    shifted.reshape(-1, order="F")[:: inst.n + 1] += lam
-    factor = _cholesky(shifted)
+    factor = _cholesky(_shifted(inst, lam))
     if factor is None:
         return DualState(lam=lam, q=inst.q, x_of_lambda=None)
     return _feasible_state(inst, lam, factor)
+
+
+def _shifted(inst: BqpInstance, lam: np.ndarray) -> np.ndarray:
+    """A fresh Fortran-order ``Q + Diag(lam)``, under the caller's
+    ``np.errstate`` for a diagonal that overflows."""
+    # Q is exactly symmetric, so the transposed copy is Q in Fortran order.
+    shifted = inst.q.copy().T
+    shifted.reshape(-1, order="F")[:: inst.n + 1] += lam
+    return shifted
 
 
 def _memo_hit(inst: BqpInstance, lam: np.ndarray) -> DualState | None:

@@ -444,13 +444,24 @@ class TestLineSearch:
         monkeypatch.setattr(ds, "_trial_state", lambda inst, lam: tested.append(lam) or real(inst, lam))
         return tested
 
-    def test_few_trials_per_accepted_step(self, trials):
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        """Every lam that the solver tests with is_dual_feasible."""
+        import bqpbench.dual_solver as ds
+
+        tested = []
+        monkeypatch.setattr(ds, "is_dual_feasible", lambda inst, lam: tested.append(lam) or is_dual_feasible(inst, lam))
+        return tested
+
+    def test_few_trials_per_accepted_step(self, trials, validated):
         # Restarting every backtrack at t = 1 made 993 tests for 27 steps
-        # here, most of them infeasible; the warm start makes about 4.
+        # here, most of them infeasible; the warm start makes about 4.  The
+        # bound counts every test, the trials' and is_dual_feasible's.
         report = solve_dual(unplanted_instance(24, 11))
         assert report.status is SolveStatus.MAX_ITERATIONS
         assert report.iterations > 0
-        assert 0 < len(trials) < 8 * report.iterations
+        assert len(trials) > 0
+        assert len(trials) + len(validated) < 8 * report.iterations
 
     def test_first_trial_is_the_full_step(self, trials):
         import bqpbench.dual_solver as ds
@@ -555,9 +566,8 @@ class TestNewtonDirection:
 
         real_trial = ds._trial_state
 
-        def counted_trial(inst, lam):
-            feasibility_tests.append(lam)
-            return real_trial(inst, lam)
+        def counted(entry):
+            return lambda inst, lam: feasibility_tests.append(entry) or entry(inst, lam)
 
         monkeypatch.setattr(bqpbench.model, "dual_hessian", counted_hessian)
         inst = BqpInstance([[2.0, 1.0], [1.0, 3.0]], np.zeros(2))
@@ -566,10 +576,13 @@ class TestNewtonDirection:
         direction = ds._ascent_direction(inst, state, grad)
         np.testing.assert_array_equal(direction, grad)
 
-        monkeypatch.setattr(ds, "_trial_state", counted_trial)
+        # Every test counts: the start, the trials and the primal tries.
+        monkeypatch.setattr(ds, "is_dual_feasible", counted(is_dual_feasible))
+        monkeypatch.setattr(ds, "_trial_state", counted(real_trial))
         report = ds.solve_dual(inst, SolveOptions(max_iter=5))
         assert report.status is SolveStatus.MAX_ITERATIONS
-        assert 0 < len(feasibility_tests) <= 10
+        assert real_trial in feasibility_tests
+        assert len(feasibility_tests) <= 10
         assert report.dual_value <= 1.5  # brute-force minimum: x = (1, -1)
         assert hessians == []
 
