@@ -90,6 +90,18 @@ def round_half_away(values) -> np.ndarray:
     return np.copysign(rounded, values, out=rounded)
 
 
+def _attempts(seed: int):
+    """The (stream, bump) of each attempt: one stream spawned from
+    ``SeedSequence(seed)`` per redraw, on demand, and the last stream again
+    with the bump.  ``spawn`` numbers the children in order, so attempt i
+    draws from ``SeedSequence(seed).spawn(_MAX_REDRAWS + 1)[i]``."""
+    root = np.random.SeedSequence(seed)
+    for _ in range(_MAX_REDRAWS + 1):
+        (stream,) = root.spawn(1)
+        yield stream, 0.0
+    yield stream, 1.0
+
+
 def _finite(cfg: GenConfig, name: str, values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise GenerationFailed(f"{name} overflows float64 at n={cfg.n}, base={cfg.base!r}")
@@ -109,7 +121,7 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     diagonally dominant, but only weakly where a diagonal entry is
     negative, so each attempt sets ``c = Qx + lam * x`` and tests the
     shift with :func:`model.is_dual_feasible`: if it fails, the next
-    attempt uses the next spawned stream, and after 100 redraws one last
+    attempt spawns the next stream, and after 100 redraws one last
     attempt repeats the final draw with every multiplier bumped by 1, which
     makes the integer shift strictly dominant.  The returned instance holds
     the planted dual state (``lam``, ``x(lam)``) in its memo, so checking
@@ -118,9 +130,7 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     matrix cannot be allocated, raises :class:`GenerationFailed`.
     """
     margin = float(round_half_away(cfg.margin))
-    streams = np.random.SeedSequence(cfg.seed).spawn(_MAX_REDRAWS + 1)
-    attempts = [(stream, 0.0) for stream in streams] + [(streams[-1], 1.0)]
-    for stream, bump in attempts:
+    for stream, bump in _attempts(cfg.seed):
         rng = np.random.Generator(np.random.PCG64(stream))
         try:
             gauss = rng.standard_normal((cfg.n, cfg.n))

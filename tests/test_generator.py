@@ -127,30 +127,30 @@ class TestRetryPolicy:
         import bqpbench.generator as gen
         import bqpbench.model as model
 
-        real = model.spd_factorize
+        real = model._cholesky
         calls = {"n": 0}
 
-        def flaky(a, **kw):
+        def flaky(a):
             calls["n"] += 1
-            if calls["n"] <= 101:
-                raise NotPositiveDefinite(0)
-            return real(a, **kw)
+            return None if calls["n"] <= 101 else real(a)
 
-        monkeypatch.setattr(model, "spd_factorize", flaky)
+        monkeypatch.setattr(model, "_cholesky", flaky)
         inst, cert = gen.generate_instance(GenConfig(n=4, seed=0))
         rowsums = np.abs(inst.q).sum(axis=1)
         np.testing.assert_array_equal(cert.lam, rowsums + 1.0)
         assert verify_certificate(inst, cert).overall
+        # The bump repeats the last redraw: the 101st child of the seed.
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0).spawn(101)[100]))
+        g = rng.standard_normal((4, 4))
+        np.testing.assert_array_equal(inst.q, gen.round_half_away(10.0 * (g + g.T) / 2.0))
+        np.testing.assert_array_equal(cert.x, 2.0 * rng.integers(0, 2, size=4) - 1.0)
 
     def test_generation_failed_when_nothing_factorizes(self, monkeypatch):
         import bqpbench.generator as gen
         import bqpbench.model as model
         from bqpbench import GenerationFailed
 
-        def hopeless(a, **kw):
-            raise NotPositiveDefinite(0)
-
-        monkeypatch.setattr(model, "spd_factorize", hopeless)
+        monkeypatch.setattr(model, "_cholesky", lambda a: None)
         with pytest.raises(GenerationFailed):
             gen.generate_instance(GenConfig(n=3, seed=0))
 

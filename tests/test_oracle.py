@@ -183,6 +183,8 @@ def test_pruning_skips_most_blocks_of_a_planted_instance(evaluated_blocks):
     np.testing.assert_array_equal(result.best_x, cert.x)
     assert result.minimizer_count == 1
     assert len(set(evaluated_blocks)) < 0.05 * 4096
+    # The tied block's values are kept from the first pass, not evaluated again.
+    assert len(evaluated_blocks) == len(set(evaluated_blocks))
 
 
 def test_all_ties_evaluate_every_block(evaluated_blocks):
@@ -209,10 +211,11 @@ def test_no_block_is_skipped_where_the_data_scale_overflows(evaluated_blocks, di
 
 def test_head_bound_prunes_the_pool(evaluated_blocks):
     # With the L1 bound alone, the 8 pool instances evaluate 659 block
-    # rows over both passes; the head bound cuts that to 134.
+    # rows over both passes; the 6-bit head bound cut that to 134, and the
+    # 9-bit screen with the kept tie rows to 58.
     for seed in POOL_SEEDS:
         brute_force_minimize(kind_b_instance(seed, 24))
-    assert len(evaluated_blocks) <= 200
+    assert len(evaluated_blocks) <= 80
 
 
 def test_head_bounds_are_lazy_on_a_planted_instance(head_bounded_blocks):
@@ -241,3 +244,31 @@ def test_unplanted_fixture_golden(fixtures_dir):
     assert result.best_x.tobytes() == UNPLANTED24_X.tobytes()
     assert np.float64(result.best_value).tobytes() == np.float64(UNPLANTED24_VALUE).tobytes()
     assert result.minimizer_count == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_block_and_candidates_follow_the_full_stable_sort(evaluated_blocks, head_bounded_blocks, seed):
+    # Entries in -1..1 give many equal L1 keys.  The oracle takes the first
+    # block by argmin and sorts only the candidates; the first block and
+    # the candidates' order must be those of a stable sort of all keys.
+    rng = np.random.default_rng(seed)
+    n = 19
+    a = rng.integers(-1, 2, size=(n, n)).astype(float)
+    inst = BqpInstance(np.triu(a) + np.triu(a, 1).T, rng.integers(-1, 2, n).astype(float))
+    k = n - oracle._BLOCK_BITS
+    q_pp, q_ps, q_ss = inst.q[:k, :k], inst.q[:k, k:], inst.q[k:, k:]
+    prefixes = oracle._sign_table(k)
+    const = 0.5 * np.einsum("ij,jk,ik->i", prefixes, q_pp, prefixes) - prefixes @ inst.c[:k]
+    suffix_base = oracle._costs(q_ss, inst.c[k:])
+    slack = oracle._SLACK_REL * (1.0 + 2.0 * (np.abs(inst.q).sum() + np.abs(inst.c).sum()))
+    key = const + suffix_base.min() - np.abs(prefixes @ q_ps).sum(axis=1) - slack
+    order = np.argsort(key, kind="stable")
+    p = prefixes[order[0]]
+    first_min = const[order[0]] + (suffix_base + oracle._suffix_table(oracle._BLOCK_BITS) @ (q_ps.T @ p)).min()
+    cand = order[1:np.searchsorted(key[order], oracle._tie_limit(first_min), side="right")]
+    assert np.unique(key[cand]).size < cand.size // 2
+
+    brute_force_minimize(inst)
+    assert evaluated_blocks[0] == tuple(p)
+    # The candidates get their 6-bit head bounds first, in one slice.
+    assert head_bounded_blocks[:cand.size] == list(map(tuple, prefixes[cand]))

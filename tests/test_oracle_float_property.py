@@ -10,9 +10,10 @@ from bqpbench import BqpInstance, brute_force_minimize, objective_value
 
 
 def unpruned_scan(inst):
-    """Every block through the oracle's kernel, in chunks of its size and
-    prefix order, so the 2^n values come out in lexicographic order; the
-    first value within the tie tolerance of the minimum wins."""
+    """Every block through the oracle's kernel, its cost tables included,
+    in chunks of its size and prefix order, so the 2^n values come out in
+    lexicographic order; the first value within the tie tolerance of the
+    minimum wins."""
     m = min(inst.n, oracle._BLOCK_BITS)
     k = inst.n - m
     q, c = inst.q, inst.c
@@ -20,8 +21,8 @@ def unpruned_scan(inst):
     c_p, c_s = c[:k], c[k:]
     suffixes = oracle._suffix_table(m)
     prefixes = oracle._sign_table(k)
-    suffix_base = 0.5 * ((suffixes @ q_ss) * suffixes).sum(axis=1) - suffixes @ c_s
-    const = 0.5 * ((prefixes @ q_pp) * prefixes).sum(axis=1) - prefixes @ c_p
+    suffix_base = oracle._costs(q_ss, c_s)
+    const = oracle._costs(q_pp, c_p)
     values = np.concatenate([
         oracle._block_values(prefixes[lo:lo + oracle._CHUNK], const[lo:lo + oracle._CHUNK],
                              q_ps, suffixes, suffix_base)

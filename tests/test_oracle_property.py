@@ -51,11 +51,12 @@ def test_pruned_oracle_equals_the_full_table(inst):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.one_of(_small_integer_instances(), _gaussian_instances()))
-def test_head_bound_is_below_every_block_minimum(inst):
+@given(st.one_of(_small_integer_instances(), _gaussian_instances()), st.sampled_from([oracle._HEAD_BITS, oracle._SCREEN_BITS]))
+def test_head_bound_is_below_every_block_minimum(inst, bits):
     # Block p holds the 2^13 vectors with prefix p, consecutive in the
-    # full table.  Its head bound is at most its minimum and at least its
-    # L1 bound, both up to the oracle's rounding slack.
+    # full table.  Its head bound at the ordering (6) and the screening
+    # (9) width is at most its minimum and at least its L1 bound, both up
+    # to the oracle's rounding slack.
     m = min(inst.n, oracle._BLOCK_BITS)
     k = inst.n - m
     q, c = inst.q, inst.c
@@ -67,6 +68,6 @@ def test_head_bound_is_below_every_block_minimum(inst):
     block_mins = full_table(inst)[1].reshape(2 ** k, 2 ** m).min(axis=1)
     l1 = const + suffix_base.min() - np.abs(prefixes @ q_ps).sum(axis=1)
     slack = oracle._SLACK_REL * (1.0 + 2.0 * (np.abs(q).sum() + np.abs(c).sum()))
-    head = oracle._head_bounds(prefixes, const, q_ps, suffix_base)
+    head = oracle._head_bounds(prefixes, const, q_ps, suffix_base.reshape(2 ** bits, -1).min(axis=1))
     assert (head - slack <= block_mins).all()
     assert (head + slack >= l1).all()
