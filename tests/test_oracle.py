@@ -246,15 +246,16 @@ def test_unplanted_fixture_golden(fixtures_dir):
     assert result.minimizer_count == 1
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_first_block_and_candidates_follow_the_full_stable_sort(evaluated_blocks, head_bounded_blocks, seed):
-    # Entries in -1..1 give many equal L1 keys.  The oracle takes the first
-    # block by argmin and sorts only the candidates; the first block and
-    # the candidates' order must be those of a stable sort of all keys.
+@pytest.mark.parametrize("seed, linear", [(0, True), (1, True), (2, False), (3, False)])
+def test_first_block_and_candidates_follow_the_full_stable_sort(evaluated_blocks, head_bounded_blocks, seed, linear):
+    # Entries in -1..1 give many equal L1 keys, and with c = 0 the least
+    # key is that of p and of -p.  The oracle takes the first block by
+    # argmin and sorts only the candidates; the first block and the
+    # candidates' order must be those of a stable sort of all keys.
     rng = np.random.default_rng(seed)
     n = 19
     a = rng.integers(-1, 2, size=(n, n)).astype(float)
-    inst = BqpInstance(np.triu(a) + np.triu(a, 1).T, rng.integers(-1, 2, n).astype(float))
+    inst = BqpInstance(np.triu(a) + np.triu(a, 1).T, rng.integers(-1, 2, n) * float(linear))
     k = n - oracle._BLOCK_BITS
     q_pp, q_ps, q_ss = inst.q[:k, :k], inst.q[:k, k:], inst.q[k:, k:]
     prefixes = oracle._sign_table(k)
@@ -267,6 +268,7 @@ def test_first_block_and_candidates_follow_the_full_stable_sort(evaluated_blocks
     first_min = const[order[0]] + (suffix_base + oracle._suffix_table(oracle._BLOCK_BITS) @ (q_ps.T @ p)).min()
     cand = order[1:np.searchsorted(key[order], oracle._tie_limit(first_min), side="right")]
     assert np.unique(key[cand]).size < cand.size // 2
+    assert linear or (key == key.min()).sum() > 1
 
     brute_force_minimize(inst)
     assert evaluated_blocks[0] == tuple(p)
