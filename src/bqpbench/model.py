@@ -13,14 +13,13 @@ point that the generator, the solver, ``verify`` and the Schur check all
 ask about is factorized once.  The explicit Hessian factorizes again and costs n more
 solves; it is a reference for the solver's Newton step.
 
-A dual state is built by one of two entries with the same results, and
-both factorize through the Cholesky kernel ``numerics._cholesky``
-directly: the shift is built from the instance's validated ``q``, so
-nothing checks it again.  :func:`is_dual_feasible` validates ``lam``; the
-generator, ``verify``, the Schur check, the solver's start point and its
-primal tries use it.  The solver's line search, which forms each trial
-``lam`` itself, uses the private ``_trial_state``, which validates
-nothing.
+A dual state is built by one of two entries with the same results.
+:func:`is_dual_feasible` validates ``lam`` and factorizes through
+:func:`numerics.spd_factorize`; the generator, ``verify``, the Schur
+check, the solver's start point and its primal tries use it.  The
+solver's line search, which forms each trial ``lam`` itself, uses the
+private ``_trial_state``, which validates nothing again and factorizes
+through the Cholesky kernel directly.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import numpy as np
 
 from .numerics import (
     DimensionMismatch,
+    NotPositiveDefinite,
     _cholesky,
     require_symmetric,
     spd_factorize,
@@ -172,11 +172,9 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     array afterwards only makes the next call miss.
 
     This is the validating entry, for any caller: ``lam`` is checked with
-    :func:`as_vector`.  The shift is not checked again (it is built from
-    the validated ``inst.q``) and is factorized by :func:`numerics._cholesky`,
-    the pivot rule of :func:`numerics.spd_factorize`.  The solver's line
-    search tests the multipliers it forms itself through
-    :func:`_trial_state` instead, with the same results.
+    :func:`as_vector` and the shift with :func:`numerics.spd_factorize`.
+    The solver's line search tests the multipliers it forms itself
+    through :func:`_trial_state` instead, with the same results.
     """
     lam = as_vector(lam, inst.n)
     memo = _memo_hit(inst, lam)
@@ -185,11 +183,8 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     try:
         with np.errstate(over="raise"):
             shifted = _shifted(inst, lam)
-    except FloatingPointError:
-        factor = None
-    else:
-        factor = _cholesky(shifted)
-    if factor is None:
+        factor = spd_factorize(shifted, overwrite=True)
+    except (FloatingPointError, NotPositiveDefinite):
         return DualState(lam=lam, q=inst.q, x_of_lambda=None)
     with np.errstate(over="ignore", invalid="ignore"):
         return _feasible_state(inst, lam.copy(), factor)

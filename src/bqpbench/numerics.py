@@ -11,9 +11,9 @@ output, calls ``numpy.linalg.eigvalsh`` itself.  Matrices are plain
 float64 numpy arrays; symmetry is validated exactly (entrywise equality)
 at every public entry point.  The pivot rule lives in one private kernel,
 ``_cholesky``, which validates nothing: :func:`spd_factorize` is
-``require_symmetric`` plus that kernel, and both dual-state entries of
-``model``, which shift an instance's already validated matrix, call the
-kernel directly.
+``require_symmetric`` plus that kernel, and ``model._trial_state``, which
+tests the solver's line-search trials on an instance's already validated
+matrix, calls the kernel directly.
 
 LAPACK comes from scipy's compiled f2py wrappers, the same objects that
 ``scipy.linalg.lapack`` exposes.  Their extension module
@@ -109,18 +109,19 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
     return lower
 
 
-def spd_factorize(a) -> np.ndarray:
+def spd_factorize(a, overwrite: bool = False) -> np.ndarray:
     """Cholesky-factorize a symmetric matrix; return the lower factor L.
 
     Succeeds exactly when the matrix is positive definite under the
     pivot rule of :func:`_cholesky`, which rejects the numerically
     singular weakly-dominant matrices that row-sum shifted instances can
     produce; otherwise raises :class:`NotPositiveDefinite`.  ``L`` is a
-    plain lower-triangular float array with ``A = L @ L.T``, factorized in
-    a copy: ``a`` is left as it is.
+    plain lower-triangular float array with ``A = L @ L.T``; with
+    ``overwrite`` a Fortran-ordered float array is factorized in place and
+    becomes ``L``: the caller gives ``a`` up.
     """
     a = require_symmetric(a)
-    lower = _cholesky(np.array(a, order="F"))
+    lower = _cholesky(a if overwrite else np.array(a, order="F"))
     if lower is None:
         raise NotPositiveDefinite("not positive definite")
     return lower

@@ -68,10 +68,15 @@ from .model import BqpInstance
 
 _BLOCK_BITS = 13
 # Blocks per product in both passes, after the first block, and the most
-# tied blocks whose values the first pass keeps for the second.
+# tied blocks whose values the first pass keeps for the second.  On the
+# n = 24 instances of the near-boundary benchmark, evaluating the tied
+# blocks again instead made a call 5-9% slower (13.5 block rows a call
+# instead of 12.4; one BLAS thread, 2 vCPUs).
 _CHUNK = 8
 # Suffix bits over which the head bounds are exact: the bound that orders
-# the candidates, and the one that screens each chunk.
+# the candidates, and the one that screens each chunk.  On the same
+# instances, ordering by the 9-bit bound with no screen made a call 7-17%
+# slower: its 2^9-column product is paid for every candidate.
 _HEAD_BITS = 6
 _SCREEN_BITS = 9
 _TIE_REL = 1e-9
@@ -327,6 +332,8 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
                     kept.update((int(idx[j]), values[j].copy()) for j in np.flatnonzero(mins <= limit))
                     if len(kept) > _CHUNK:
                         kept = None
+                # Let the chunk's values go before the next chunk's are made.
+                del values
             frontier = np.searchsorted(sorted_key, limit, side="right")
             start, stop = stop, min(frontier, stop + _CHUNK)
         if not np.isfinite(block_mins[np.concatenate(evaluated)]).all():

@@ -115,8 +115,7 @@ def schur_block_psd(inst: BqpInstance, lam, t: float) -> tuple[bool, float]:
     the test accepts ``schur >= -1e-8 * (1 + |t|)``.  One factorization
     (:func:`is_dual_feasible`, none when ``lam`` is the instance's
     memoized dual point) gives ``x(lam)``; the block is never formed.
-    A shift that fails the Cholesky pivot rule (``numerics._cholesky``,
-    the one :func:`numerics.spd_factorize` applies) gives ``(False,
+    A shift that fails ``spd_factorize``'s pivot rule gives ``(False,
     nan)``: a certificate needs PD, so a singular PSD shift is not PSD here.
     """
     if not isfinite(t):

@@ -27,9 +27,9 @@ def spectral_instance(n, seed, margin=1.0):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Every factorization the model makes: its two dual-state entries'
-    (the generator's, the solver's and verify's) through the Cholesky
-    kernel itself, and dual_hessian's through spd_factorize."""
+    """Every factorization the model makes: is_dual_feasible's through
+    spd_factorize (the generator's go through it too) and the solver
+    trials' through the Cholesky kernel itself."""
     import bqpbench.model
 
     calls = []

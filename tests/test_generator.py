@@ -127,14 +127,16 @@ class TestRetryPolicy:
         import bqpbench.generator as gen
         import bqpbench.model as model
 
-        real = model._cholesky
+        real = model.spd_factorize
         calls = {"n": 0}
 
-        def flaky(a):
+        def flaky(a, **kw):
             calls["n"] += 1
-            return None if calls["n"] <= 101 else real(a)
+            if calls["n"] <= 101:
+                raise NotPositiveDefinite(0)
+            return real(a, **kw)
 
-        monkeypatch.setattr(model, "_cholesky", flaky)
+        monkeypatch.setattr(model, "spd_factorize", flaky)
         inst, cert = gen.generate_instance(GenConfig(n=4, seed=0))
         rowsums = np.abs(inst.q).sum(axis=1)
         np.testing.assert_array_equal(cert.lam, rowsums + 1.0)
@@ -150,7 +152,10 @@ class TestRetryPolicy:
         import bqpbench.model as model
         from bqpbench import GenerationFailed
 
-        monkeypatch.setattr(model, "_cholesky", lambda a: None)
+        def hopeless(a, **kw):
+            raise NotPositiveDefinite(0)
+
+        monkeypatch.setattr(model, "spd_factorize", hopeless)
         with pytest.raises(GenerationFailed):
             gen.generate_instance(GenConfig(n=3, seed=0))
 

@@ -33,11 +33,14 @@ class TestFactorize:
         expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
         np.testing.assert_allclose(factor, expected, rtol=1e-15)
 
-    def test_leaves_its_argument_unchanged(self):
+    def test_overwrite_factorizes_in_place(self):
         a = np.asfortranarray(shifted_example1())
         kept = a.copy()
         assert not np.shares_memory(spd_factorize(a), a)
         np.testing.assert_array_equal(a, kept)
+        factor = spd_factorize(a, overwrite=True)
+        assert np.shares_memory(factor, a)
+        np.testing.assert_array_equal(factor, spd_factorize(kept))
 
     def test_negative_diagonal_fails_at_pivot_zero(self):
         with pytest.raises(NotPositiveDefinite):

@@ -123,7 +123,7 @@ class TestCheckCertificate:
         import bqpbench.model as model_module
 
         state = is_dual_feasible(example1, example1_cert.lam)
-        monkeypatch.setattr(model_module, "_cholesky", None)
+        monkeypatch.setattr(model_module, "spd_factorize", None)
         assert check_certificate(example1, example1_cert.x, state).overall
 
     def test_non_sign_entries_fail_boolean(self, example1, example1_cert):
@@ -291,8 +291,8 @@ class TestZeroGapIdentityChain:
 
 def test_owned_matrices_are_validated_once(monkeypatch):
     # One symmetry check per matrix that enters from outside or is built by
-    # the caller; Q+diag(lam) rebuilt from an instance's own q is not
-    # checked again.
+    # the caller; Q+diag(lam) rebuilt from an instance's own q is checked
+    # only inside spd_factorize.
     import bqpbench.model as model_module
     import bqpbench.numerics as numerics_module
 
@@ -302,7 +302,7 @@ def test_owned_matrices_are_validated_once(monkeypatch):
         monkeypatch.setattr(module, "require_symmetric", lambda a: calls.append(1) or real(a))
 
     inst, cert = generate_instance(GenConfig(n=30, seed=0))
-    assert len(calls) == 1  # BqpInstance
+    assert len(calls) == 2  # BqpInstance, spd_factorize
     calls.clear()
     assert verify_certificate(inst, cert).overall
     assert len(calls) == 0  # the factor the generator made at cert.lam
@@ -311,7 +311,7 @@ def test_owned_matrices_are_validated_once(monkeypatch):
     assert len(calls) == 0
     is_psd, _ = schur_block_psd(inst, cert.lam + 1.0, float(inst.c @ cert.x) + 1.0)
     assert is_psd
-    assert len(calls) == 0  # nor the new shifted matrix
+    assert len(calls) == 1  # spd_factorize of the new shifted matrix
 
 
 def test_infinite_tolerance_is_rejected(example1, example1_cert):
