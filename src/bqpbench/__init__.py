@@ -23,13 +23,13 @@ from .fileio import (
     write_bench_csv,
 )
 from .generator import (
-    Certificate,
     GenConfig,
     GenerationFailed,
     generate_instance,
 )
 from .model import (
     BqpInstance,
+    Certificate,
     DualState,
     Infeasible,
     dual_gradient,

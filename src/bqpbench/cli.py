@@ -36,8 +36,8 @@ from .fileio import (
     serialize_instance,
     write_bench_csv,
 )
-from .generator import Certificate, GenConfig, GenerationFailed, generate_instance
-from .model import BqpInstance, objective_value
+from .generator import GenConfig, GenerationFailed, generate_instance
+from .model import BqpInstance, Certificate, objective_value
 from .oracle import TooLarge, brute_force_minimize
 from .verify import inertia_note, verify_certificate
 
@@ -108,11 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance with a planted optimum")
     p.add_argument("-n", type=count, required=True, help="dimension")
-    p.add_argument("--base", type=positive, default=10.0, help="entry scale (default 10)")
+    p.add_argument("--base", type=positive, default=GenConfig.base,
+                   help="entry scale (default %(default)g)")
     p.add_argument("--seed", type=_flag(read_count, lambda v: v < 2 ** 64, "below 2**64"),
-                   default=0, help="RNG seed (default 0)")
+                   default=GenConfig.seed, help="RNG seed (default %(default)g)")
     p.add_argument("--margin", type=_flag(read_number, lambda v: v >= 0, "nonnegative"),
-                   default=0.0, help="extra shift added to every multiplier (default 0)")
+                   default=GenConfig.margin,
+                   help="extra shift added to every multiplier (default %(default)g)")
     p.add_argument("--with-certificate", action="store_true",
                    help="include the planted x and lambda sections in the file")
     p.add_argument("-o", dest="out_path", required=True, metavar="PATH", help="output file")
@@ -120,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="maximize the dual and certify the optimum")
     p.add_argument("in_path", metavar="PATH")
-    p.add_argument("--grad-tol", type=positive, default=1e-8)
-    p.add_argument("--max-iter", type=count, default=100)
+    p.add_argument("--grad-tol", type=positive, default=SolveOptions.grad_tol)
+    p.add_argument("--max-iter", type=count, default=SolveOptions.max_iter)
     p.add_argument("--emit-cert", metavar="PATH", default=None,
                    help="write the solved certificate to this file")
     p.set_defaults(func=run_solve)

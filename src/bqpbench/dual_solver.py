@@ -30,10 +30,16 @@ grad``, one matrix-vector product.  When some ``|x_i(lam)|`` falls
 below ``1e-3`` that formula divides by near-zeros (and ``-H`` is
 singular at an exact zero), so the solver steps along the gradient
 instead; it never forms a matrix other than ``Q + diag(lam)``.  The
-ascent stops at a stationary point, at the iteration budget, or at a
-step that leaves the dual value bitwise unchanged.  Wherever it stops,
-the primal try runs once more, on the signs of the final ``x(lam)``; it
-is the only way a solve certifies.
+ascent stops at a stationary point, at the iteration budget, at a
+backtrack in which no trial passes, or at a step that leaves the dual
+value bitwise unchanged.  Wherever it stops, the primal try runs once
+more, on the signs of the final ``x(lam)``; a primal try is the only
+way a solve certifies.
+
+:func:`solve_dual` runs the phases in order: the primal try on
+``sign(c)``, :func:`initial_point`, the ascent (``_ascend``) and the
+primal try where it stops.  Each phase returns states, not reports;
+:func:`solve_dual` builds the one :class:`SolveReport`.
 """
 
 from __future__ import annotations
@@ -92,7 +98,7 @@ class SolveOptions:
         require_count(self.max_iter, "max_iter", 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     """Outcome of one solve: a certifying primal try, or the dual ascent.
 
@@ -105,9 +111,10 @@ class SolveReport:
     raised the dual (0 when the first primal try certified); ``dual_trace``
     holds the dual value at the start and after each of them, then the
     value at a certifying primal try's ``lam(x)``, so its last entry is
-    always ``dual_value``.  The ascent's entries rise; a certificate's
-    value equals f(x) and can lie a rounding error below them.  A primal
-    try that fails changes nothing.
+    ``dual_value``; it is empty when no feasible start was found.  The
+    ascent's entries rise; a certificate's value equals f(x) and can lie
+    a rounding error below them.  A primal try that fails changes
+    nothing.  Reports compare by identity.
     """
 
     lam: np.ndarray
@@ -160,16 +167,16 @@ def _signs(v: np.ndarray) -> np.ndarray:
     return np.where(v < 0.0, -1.0, 1.0)
 
 
-def _primal_try(inst: BqpInstance, x: np.ndarray, iterations: int, trace: list[float]):
+def _primal_try(inst: BqpInstance, x: np.ndarray):
     """Certify the 1-flip local minimum that greedy descent reaches from ``x``.
 
     Each step flips the coordinate whose flip lowers the objective most,
     ``2 (lam(x)_i + Q_ii)`` with ``lam(x) = x * (c - Qx)``, at most n
     times, updating ``Qx`` by one row of the symmetric ``Q`` per flip.
     Then one :func:`is_dual_feasible` test at ``lam(x)`` and
-    :func:`verify.check_certificate` decide.  Returns a Certified report
-    that appends ``g(lam(x))`` to ``trace``, or None, also when ``lam(x)``
-    overflows.  ``x`` is overwritten.
+    :func:`verify.check_certificate` decide.  Returns the dual state at
+    ``lam(x)`` and the check that passed, or None, also when ``lam(x)``
+    overflows.  ``x`` is overwritten with the local minimum.
     """
     q, c, diag = inst.q, inst.c, inst.q.diagonal()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -186,13 +193,7 @@ def _primal_try(inst: BqpInstance, x: np.ndarray, iterations: int, trace: list[f
         return None
     state = is_dual_feasible(inst, lam)
     check = check_certificate(inst, x, state)
-    if not check.overall:
-        return None
-    return SolveReport(
-        lam=state.lam, x=x, x_raw=state.x_of_lambda, primal_value=check.primal,
-        dual_value=state.value, gap=check.gap, iterations=iterations,
-        status=SolveStatus.CERTIFIED, dual_trace=[*trace, state.value],
-    )
+    return (state, check) if check.overall else None
 
 
 def _backtrack(inst, state, grad, direction, t0):
@@ -201,10 +202,10 @@ def _backtrack(inst, state, grad, direction, t0):
 
     Returns the accepted dual state and the step ``t`` it was accepted at,
     or None when none of the 60 trials ``t = t0, t0/2, ..., t0 * 2^-59``
-    passes: the budget is shared by the feasibility and ascent phases and
+    passes: the budget is shared by the feasibility and Armijo tests and
     counts down from ``t0``, not from 1.  Each trial ``lam`` is a fresh
     array formed here, so :func:`model._trial_state` tests it without
-    validating it again; it runs under :func:`solve_dual`'s
+    validating it again; it runs under :func:`_ascend`'s
     ``np.errstate``.  A trial ``lam`` that is not finite (the step
     overflowed float64) fails that entry's pivot rule, so it is an
     infeasible trial, as an overflowing shifted diagonal is.  (An accepted
@@ -222,63 +223,75 @@ def _backtrack(inst, state, grad, direction, t0):
     return None
 
 
+def _ascend(inst: BqpInstance, state: DualState, opts: SolveOptions):
+    """Damped Newton ascent of the dual from the feasible ``state``.
+
+    Returns the final state, the dual trace (the value at ``state`` and
+    after each step that raised it) and the status an uncertified report
+    gets where the ascent stopped: StationaryNotBoolean when the gradient
+    sup-norm is at most ``opts.grad_tol``, tested after the last step
+    too; MaxIterations when the budget is spent, when no trial of a
+    backtrack passes, or when an accepted step leaves the dual value
+    bitwise unchanged.
+    """
+    trace, t0 = [state.value], 1.0
+    # Near the float64 limit the step arithmetic may overflow; the
+    # trials it spoils are infeasible (see _backtrack).
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            grad = dual_gradient(state)
+            if float(np.abs(grad).max()) <= opts.grad_tol:
+                return state, trace, SolveStatus.STATIONARY_NOT_BOOLEAN
+            if len(trace) - 1 == opts.max_iter:
+                break
+            accepted = _backtrack(inst, state, grad, _ascent_direction(inst, state, grad), t0)
+            if accepted is None or accepted[0].value == state.value:
+                break
+            state, t = accepted
+            t0 = min(1.0, _STEP_GROWTH * t)
+            trace.append(state.value)
+    return state, trace, SolveStatus.MAX_ITERATIONS
+
+
 def solve_dual(inst: BqpInstance, opts: SolveOptions | None = None) -> SolveReport:
     """Certify a global primal solution, or maximize the dual trying.
 
-    The primal try on ``sign(c)`` (0 -> +1) comes first; when it
-    certifies, no ascent runs.  Otherwise Newton iterations ``lam <- lam
-    + t*d`` with ``-H d = grad`` (closed form, see the module docstring)
-    run from :func:`initial_point` until the gradient sup-norm drops
-    below ``opts.grad_tol``, the budget is spent, or an accepted step
-    leaves the dual value bitwise unchanged (MaxIterations, as a full
-    budget of such steps would report).  The gradient is tested after
-    the last step too, so a run that becomes stationary on its final
-    iteration is reported stationary.  Each backtrack starts at ``t =
-    min(1, _STEP_GROWTH * t_last)``, ``t_last`` being the last accepted
-    step (``t = 1`` on the first step).  A Newton backtrack in which no
-    trial passes falls back to a plain gradient step from the same
-    starting ``t``.  Wherever the ascent stops, the primal try runs on
-    the signs of the final ``x(lam)`` (0 -> +1) and certifies at
-    ``lam(x)``.  If it fails, the report holds the ascent's final
-    ``lam``, no ``x`` and the status StationaryNotBoolean or
+    The phases run in order, each only when the one before did not
+    certify: the primal try on ``sign(c)`` (0 -> +1); the start at
+    :func:`initial_point`; the ascent (:func:`_ascend`), Newton
+    iterations ``lam <- lam + t*d`` with ``-H d = grad`` (closed form,
+    see the module docstring) until the gradient sup-norm drops below
+    ``opts.grad_tol``, the budget is spent, or an accepted step leaves
+    the dual value bitwise unchanged (MaxIterations, as a full budget of
+    such steps would report); and the primal try on the signs of the
+    final ``x(lam)`` (0 -> +1).  Each backtrack starts at ``t = min(1,
+    _STEP_GROWTH * t_last)``, ``t_last`` being the last accepted step
+    (``t = 1`` on the first step); a backtrack in which no trial passes
+    ends the ascent.  A try that certifies gives the report its ``x``
+    and ``lam(x)``.  When no try certifies, the report holds the ascent's
+    final ``lam``, no ``x`` and the status StationaryNotBoolean or
     MaxIterations.  When :func:`initial_point` finds no feasible start,
     no ascent runs and the report holds its ``lam``, no ``x_raw``, its
     NaN dual value, an empty trace and the status NoFeasibleStart.
     """
     opts = opts or SolveOptions()
-    first = _primal_try(inst, _signs(inst.c), 0, [])
-    if first is not None:
-        return first
-    state = initial_point(inst)
-    trace, iterations, t0 = [], 0, 1.0
-    status = SolveStatus.NO_FEASIBLE_START
-    if state.feasible:
-        trace.append(state.value)
-        # Near the float64 limit the step arithmetic may overflow; the
-        # trials it spoils are infeasible (see _backtrack).
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                grad = dual_gradient(state)
-                stationary = float(np.abs(grad).max()) <= opts.grad_tol
-                if stationary or iterations == opts.max_iter:
-                    break
-                direction = _ascent_direction(inst, state, grad)
-                accepted = _backtrack(inst, state, grad, direction, t0)
-                if accepted is None and direction is not grad:
-                    accepted = _backtrack(inst, state, grad, grad, t0)
-                if accepted is None or accepted[0].value == state.value:
-                    break
-                state, t = accepted
-                t0 = min(1.0, _STEP_GROWTH * t)
-                iterations += 1
-                trace.append(state.value)
-
-        tried = _primal_try(inst, _signs(state.x_of_lambda), iterations, trace)
-        if tried is not None:
-            return tried
-        status = SolveStatus.STATIONARY_NOT_BOOLEAN if stationary else SolveStatus.MAX_ITERATIONS
+    trace, status = [], SolveStatus.NO_FEASIBLE_START
+    x = _signs(inst.c)
+    tried = _primal_try(inst, x)
+    if tried is None:
+        state = initial_point(inst)
+        if state.feasible:
+            state, trace, status = _ascend(inst, state, opts)
+            x = _signs(state.x_of_lambda)
+            tried = _primal_try(inst, x)
+    iterations = max(len(trace) - 1, 0)
+    if tried is None:
+        x, primal, gap = None, math.nan, math.nan
+    else:
+        (state, check), status = tried, SolveStatus.CERTIFIED
+        primal, gap, trace = check.primal, check.gap, [*trace, state.value]
     return SolveReport(
-        lam=state.lam, x=None, x_raw=state.x_of_lambda, primal_value=math.nan,
-        dual_value=state.value, gap=math.nan, iterations=iterations, status=status,
+        lam=state.lam, x=x, x_raw=state.x_of_lambda, primal_value=primal,
+        dual_value=state.value, gap=gap, iterations=iterations, status=status,
         dual_trace=trace,
     )

@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generator import Certificate
-from .model import BqpInstance, require_count
+from .model import BqpInstance, Certificate, require_count
 
 FORMAT_VERSION = 1
 BENCH_CSV_HEADER = "n,seed,gen_ms,solve_ms,iters,gap,certified"

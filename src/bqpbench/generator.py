@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BqpInstance, as_sign_vector, as_vector, is_dual_feasible, require_count
+from .model import BqpInstance, Certificate, is_dual_feasible, require_count
 
 _MAX_REDRAWS = 100
 
@@ -52,33 +52,6 @@ class GenConfig:
             raise ValueError("base must be positive and finite")
         if not 0 <= self.margin < math.inf:
             raise ValueError("margin must be nonnegative and finite")
-
-
-class Certificate:
-    """Planted witness: sign vector ``x`` and multipliers ``lam``.
-
-    For generated instances the shifted matrix is positive definite and
-    ``(Q + diag(lam)) x = c`` holds exactly while every entry is below
-    2**53 in magnitude.
-    """
-
-    __slots__ = ("x", "lam")
-
-    def __init__(self, x, lam):
-        x = as_sign_vector(x).copy()
-        lam = as_vector(lam, x.shape[0]).copy()
-        x.flags.writeable = False
-        lam.flags.writeable = False
-        self.x = x
-        self.lam = lam
-
-    def __eq__(self, other):
-        if not isinstance(other, Certificate):
-            return NotImplemented
-        return np.array_equal(self.x, other.x) and np.array_equal(self.lam, other.lam)
-
-    def __repr__(self):
-        return f"Certificate(n={self.x.shape[0]})"
 
 
 def round_half_away(values) -> np.ndarray:

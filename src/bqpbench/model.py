@@ -110,7 +110,7 @@ class BqpInstance:
         return f"BqpInstance(n={self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualState:
     """A multiplier point, its solved vector and its dual value.
 
@@ -122,7 +122,8 @@ class DualState:
     where the dual is undefined.  A feasible state may be handed to every
     later caller at the same ``lam`` (see :func:`is_dual_feasible`), so
     its ``lam`` and ``x_of_lambda`` are read-only and ``lam`` is its own
-    copy.
+    copy.  States compare and hash by identity, the sense in which the
+    memo hands one out.
     """
 
     lam: np.ndarray
@@ -133,6 +134,34 @@ class DualState:
     @property
     def feasible(self) -> bool:
         return self.x_of_lambda is not None
+
+
+class Certificate:
+    """Optimality witness: sign vector ``x`` and multipliers ``lam``.
+
+    The generator plants one, a certified solve yields one, and
+    ``verify`` checks one.  For generated instances the shifted matrix is
+    positive definite and ``(Q + diag(lam)) x = c`` holds exactly while
+    every entry is below 2**53 in magnitude.
+    """
+
+    __slots__ = ("x", "lam")
+
+    def __init__(self, x, lam):
+        x = as_sign_vector(x).copy()
+        lam = as_vector(lam, x.shape[0]).copy()
+        x.flags.writeable = False
+        lam.flags.writeable = False
+        self.x = x
+        self.lam = lam
+
+    def __eq__(self, other):
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return np.array_equal(self.x, other.x) and np.array_equal(self.lam, other.lam)
+
+    def __repr__(self):
+        return f"Certificate(n={self.x.shape[0]})"
 
 
 def objective_value(inst: BqpInstance, x) -> float:

@@ -89,8 +89,11 @@ class TooLarge(Exception):
     cannot be allocated, or its objective values overflow float64."""
 
 
-@dataclass
+@dataclass(eq=False)
 class OracleResult:
+    """A minimizer, the minimum and the number of sign vectors attaining
+    it; results compare by identity."""
+
     best_x: np.ndarray
     best_value: float
     minimizer_count: int

@@ -24,9 +24,9 @@ from math import inf, isfinite, nan
 
 import numpy as np
 
-from .generator import Certificate
 from .model import (
     BqpInstance,
+    Certificate,
     DualState,
     as_vector,
     is_dual_feasible,

@@ -42,13 +42,26 @@ def factorizations(monkeypatch):
 
 @pytest.fixture
 def first_try_off(monkeypatch):
-    """Turn off solve_dual's primal try on sign(c), the one made with an
-    empty trace, so the ascent runs; the try where it stops still runs."""
+    """Turn off solve_dual's primal try on sign(c), the one made before
+    _ascend runs, so the ascent runs; the try where it stops still runs.
+    A try is made only when _ascend has run since the last try."""
     import bqpbench.dual_solver as ds
 
-    real = ds._primal_try
-    monkeypatch.setattr(ds, "_primal_try",
-                        lambda inst, x, iterations, trace: real(inst, x, iterations, trace) if trace else None)
+    real_try, real_ascend = ds._primal_try, ds._ascend
+    ascended = []
+
+    def ascend(*args):
+        ascended.append(True)
+        return real_ascend(*args)
+
+    def primal_try(inst, x):
+        if not ascended:
+            return None
+        ascended.clear()
+        return real_try(inst, x)
+
+    monkeypatch.setattr(ds, "_ascend", ascend)
+    monkeypatch.setattr(ds, "_primal_try", primal_try)
 
 
 def report_bits(report) -> bytes:

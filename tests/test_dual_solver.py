@@ -405,7 +405,7 @@ class TestPrimalTry:
         for seed in range(4):
             inst = unplanted_instance(12, seed)
             x = np.ones(12)
-            ds._primal_try(inst, x, 0, [])
+            ds._primal_try(inst, x)
             f = objective_value(inst, x)
             for i in range(12):
                 flipped = x.copy()
@@ -491,28 +491,25 @@ class TestLineSearch:
             assert t0 == min(1.0, 2.0 * t)
         assert min(t0 for t0, _ in calls) < 1.0
 
-    def test_gradient_fallback_starts_where_the_newton_backtrack_did(self, monkeypatch):
+    def test_failed_backtrack_ends_the_ascent(self, monkeypatch):
+        # A backtrack in which no trial passes ends the ascent at the last
+        # accepted step: one backtrack per step, the failed one included.
         import bqpbench.dual_solver as ds
 
-        calls = []
+        k, steps = 3, []
         real = ds._backtrack
 
-        def newton_fails(inst, state, grad, direction, t0):
-            newton = direction is not grad
-            accepted = None if newton else real(inst, state, grad, direction, t0)
-            calls.append((newton, t0, accepted))
-            return accepted
+        def fails_from_step_k(*args):
+            steps.append(real(*args) if len(steps) < k else None)
+            return steps[-1]
 
-        monkeypatch.setattr(ds, "_backtrack", newton_fails)
-        report = ds.solve_dual(unplanted_instance(24, 11), SolveOptions(max_iter=6))
-        assert report.iterations == 6
-        newton, fallback = calls[0::2], calls[1::2]
-        assert len(newton) == len(fallback) == 6
-        assert all(n and not g for (n, _, _), (g, _, _) in zip(newton, fallback))
-        assert [t0 for _, t0, _ in newton] == [t0 for _, t0, _ in fallback]
-        assert newton[0][1] == 1.0
-        for (_, _, (_, t)), (_, t0, _) in zip(fallback, newton[1:]):
-            assert t0 == min(1.0, 2.0 * t)
+        monkeypatch.setattr(ds, "_backtrack", fails_from_step_k)
+        report = ds.solve_dual(unplanted_instance(24, 11))
+        assert report.status is SolveStatus.MAX_ITERATIONS
+        assert report.iterations == k and len(steps) == k + 1
+        assert steps[-1] is None
+        np.testing.assert_array_equal(report.lam, steps[k - 1][0].lam)
+        assert report.dual_trace[1:] == [state.value for state, _ in steps[:k]]
 
     def test_budget_counts_down_from_the_starting_step(self, monkeypatch):
         import bqpbench.dual_solver as ds

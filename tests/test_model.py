@@ -10,6 +10,7 @@ from bqpbench import (
     DimensionMismatch,
     GenConfig,
     Infeasible,
+    brute_force_minimize,
     dual_gradient,
     dual_hessian,
     generate_instance,
@@ -17,6 +18,7 @@ from bqpbench import (
     min_eigenvalue,
     objective_value,
     q_of_lambda,
+    solve_dual,
 )
 
 
@@ -232,3 +234,17 @@ class TestWeakDuality:
                 x = 2.0 * rng.integers(0, 2, n) - 1.0
                 f = objective_value(inst, x)
                 assert g <= f + 1e-9 * (1.0 + abs(f))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: is_dual_feasible(BqpInstance(gold.Q1, gold.C1), np.abs(gold.Q1).sum(axis=1) + 1.0),
+    lambda: solve_dual(BqpInstance(gold.Q1, gold.C1)),
+    lambda: brute_force_minimize(BqpInstance(gold.Q1, gold.C1)),
+], ids=["DualState", "SolveReport", "OracleResult"])
+def test_result_types_compare_by_identity(make):
+    # Their fields hold arrays, so a field-wise == raised on two distinct
+    # objects and a frozen DualState's hash raised too.
+    a, b = make(), make()
+    assert a is not b
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import load_fixture_text, report_bits
 from test_dual_solver import unplanted_instance
-from bqpbench import BqpInstance, DualState, is_dual_feasible, parse_instance
+from bqpbench import BqpInstance, DualState, SolveStatus, is_dual_feasible, parse_instance
 
 
 def validated_trial(inst, lam):
@@ -54,22 +54,30 @@ def test_lean_trials_match_validated_trials(request, monkeypatch, make, ascends,
     # The same solve twice, each on a fresh instance: trials through the
     # lean entry, then through is_dual_feasible behind the line search's
     # old test of a lam that is not finite.  The reports are bitwise equal,
-    # and no warning escapes either.
+    # and no warning escapes either.  The trace holds the ascent's start
+    # and one value per step, then a certifying try's value.
     import bqpbench.dual_solver as ds
 
     if not first_try:
         request.getfixturevalue("first_try_off")
-    lean = []
-    real = ds._trial_state
+    lean, ascents = [], []
+    real, real_ascend = ds._trial_state, ds._ascend
+    monkeypatch.setattr(ds, "_ascend", lambda *args: ascents.append(1) or real_ascend(*args))
     bits = []
     for entry in (lambda inst, lam: lean.append(1) or real(inst, lam), validated_trial):
         monkeypatch.setattr(ds, "_trial_state", entry)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bits.append(report_bits(ds.solve_dual(make())))
+            report = ds.solve_dual(make())
+        bits.append(report_bits(report))
     assert bits[0] == bits[1]
     if ascends and not first_try:
         assert len(lean) > 0
+    certified = report.status is SolveStatus.CERTIFIED
+    if ascents:
+        assert report.iterations == len(report.dual_trace) - (2 if certified else 1)
+    else:
+        assert report.iterations == 0 and len(report.dual_trace) == int(certified)
 
 
 def test_trials_validate_nothing_again(monkeypatch):
