@@ -156,10 +156,14 @@ def _ascent_direction(inst: BqpInstance, state: DualState, grad: np.ndarray) -> 
     ``_CLOSED_FORM_MIN_X`` of zero.
     """
     x = state.x_of_lambda
-    if float(np.abs(x).min()) < _CLOSED_FORM_MIN_X:
+    if np.minimum.reduce(np.abs(x)) < _CLOSED_FORM_MIN_X:
         return grad
     v = grad / x
-    return (inst.q @ v + state.lam * v) / x
+    # In place, each step as in (Q v + lam * v) / x.
+    direction = inst.q @ v
+    direction += state.lam * v
+    direction /= x
+    return direction
 
 
 def _signs(v: np.ndarray) -> np.ndarray:
@@ -212,12 +216,16 @@ def _backtrack(inst, state, grad, direction, t0):
     trial can be ``state`` itself: a step too small to move ``lam`` gets
     the instance's memoized state back, from either entry.)
     """
+    lam, value = state.lam, state.value
     slope = float(grad @ direction)
     t = t0
     for _ in range(_MAX_BACKTRACKS):
-        trial = _trial_state(inst, state.lam + t * direction)
-        if trial.feasible and trial.value >= state.value + _ARMIJO_COEFF * t * slope:
-            assert trial.value >= state.value, "accepted step must not decrease the dual"
+        # lam + t * direction, with one fresh array instead of two.
+        trial_lam = t * direction
+        trial_lam += lam
+        trial = _trial_state(inst, trial_lam)
+        if trial.x_of_lambda is not None and trial.value >= value + _ARMIJO_COEFF * t * slope:
+            assert trial.value >= value, "accepted step must not decrease the dual"
             return trial, t
         t *= _BACKTRACK_FACTOR
     return None
@@ -240,7 +248,7 @@ def _ascend(inst: BqpInstance, state: DualState, opts: SolveOptions):
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             grad = dual_gradient(state)
-            if float(np.abs(grad).max()) <= opts.grad_tol:
+            if np.maximum.reduce(np.abs(grad)) <= opts.grad_tol:
                 return state, trace, SolveStatus.STATIONARY_NOT_BOOLEAN
             if len(trace) - 1 == opts.max_iter:
                 break

@@ -232,8 +232,9 @@ def _trial_state(inst: BqpInstance, lam: np.ndarray) -> DualState:
     diagonal that overflows, and a ``lam`` that is not finite, fail the
     kernel's pivot rule, so such a trial is infeasible.
     """
-    memo = _memo_hit(inst, lam)
-    if memo is not None:
+    # The memo test of _memo_hit, inline: this runs once per trial.
+    memo = inst._dual_memo
+    if memo is not None and memo.lam.tobytes() == lam.tobytes():
         return memo
     factor = _cholesky(_shifted(inst, lam))
     if factor is None:
@@ -244,10 +245,11 @@ def _trial_state(inst: BqpInstance, lam: np.ndarray) -> DualState:
 def _shifted(inst: BqpInstance, lam: np.ndarray) -> np.ndarray:
     """A fresh Fortran-order ``Q + Diag(lam)``, under the caller's
     ``np.errstate`` for a diagonal that overflows."""
-    # Q is exactly symmetric, so the transposed copy is Q in Fortran order.
-    shifted = inst.q.copy().T
-    shifted.reshape(-1, order="F")[:: inst.n + 1] += lam
-    return shifted
+    # Q is exactly symmetric, so the transpose of a C-order copy is Q in
+    # Fortran order; ravel() of that copy is a view of it.
+    shifted = inst.q.copy()
+    shifted.ravel()[:: lam.shape[0] + 1] += lam
+    return shifted.T
 
 
 def _memo_hit(inst: BqpInstance, lam: np.ndarray) -> DualState | None:
@@ -266,7 +268,7 @@ def _feasible_state(inst: BqpInstance, lam: np.ndarray, factor: np.ndarray) -> D
     x = spd_solve(factor, inst.c)
     for owned in (lam, x):
         owned.flags.writeable = False
-    value = float(-0.5 * (inst.c @ x) - 0.5 * lam.sum())
+    value = float(-0.5 * (inst.c @ x) - 0.5 * np.add.reduce(lam))
     if not math.isfinite(value):
         value = -math.inf
     inst._dual_memo = DualState(lam=lam, q=inst.q, x_of_lambda=x, value=value)

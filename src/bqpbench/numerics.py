@@ -102,9 +102,11 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
     about ``a`` is checked here; :func:`spd_factorize` is the validating
     entry.
     """
-    pivot_tol = 1e-12 * (1.0 + float(np.abs(a.diagonal()).max()))
+    # The ufunc reductions, not the array methods: this runs once per
+    # line-search trial, where the methods' call overhead shows.
+    pivot_tol = 1e-12 * (1.0 + float(np.maximum.reduce(np.abs(a.diagonal()))))
     lower, info = _flapack.dpotrf(a, lower=1, overwrite_a=1)
-    if info > 0 or not lower.diagonal().min() ** 2 > pivot_tol:
+    if info > 0 or not np.minimum.reduce(lower.diagonal()) ** 2 > pivot_tol:
         return None
     return lower
 

@@ -4,14 +4,11 @@ A sign vector splits as x = (p, s): a prefix p of k = n - m coordinates
 and a suffix s of the last m = min(n, 13) coordinates.  The 2^m suffixes
 form one table S in lexicographic order (-1 before +1), built once per
 width and shared, read-only, by every later call.  The 2^m vectors that
-share a prefix form a block, whose values
+share a prefix form a block, whose values are
 
     const(p) + base(s) + w(p)'s,   const(p) = p'Q_pp p / 2 - c_p'p,
                                    base(s) = s'Q_ss s / 2 - c_s's,
-                                   w(p) = Q_ps' p,
-
-are evaluated a chunk of blocks at a time: the rows w(p)' of a chunk
-form one matrix W, and one product W S' gives the w(p)'s of all of them.
+                                   w(p) = Q_ps' p.
 
 The cost tables base and const are built from half-width tables.  A
 cost x'Ax / 2 - b'x over x = (u, v), u its first half, is
@@ -22,39 +19,48 @@ with U and V the sign tables of the halves and b(u), b(v) the costs of
 the halves alone: one small product and two broadcasts, in the order of
 the full table, and no sign table wider than the halves.
 
-Three lower bounds on the values in block p decide which blocks are
-evaluated.  The L1 bound lb(p) = const(p) + min(base) - ||w(p)||_1
-comes from one (2^k x k)(k x m) product for all blocks at once.  The
-head bound at t bits splits s into its first t bits u and the rest v:
+A block is evaluated by head rows.  The suffix splits again, into its
+first t = min(6, m) bits u, the head, and the other r = m - t bits v,
+the tail, and w(p) alike into w_u and w_v.  Head row (p, u) holds the
+2^r values
 
-    head_t(p) = const(p) + min_u [B_t(u) + w_u(p)'u] - ||w_v(p)||_1,
-    B_t(u) = min_v base(u, v),
+    heads[p, u] + base(u, v) + tails[p, v],   summed in that order,
+    heads[p, u] = const(p) + w_u(p)'u,   tails[p, v] = w_v(p)'v,
 
-exact over the 2^t heads and so never below lb(p).  It costs a 2^t-column
-product per block, so it is computed only where a cheaper bound cannot
-prune: at t = min(6, m) for the blocks the L1 bound leaves, and at
-t = min(9, m) for the blocks of a chunk just before they are evaluated.
+so a chunk of blocks, whose rows w(p)' form a matrix W, takes two small
+products, H = W_u U' and T = W_v V', and then only the sums of the rows
+it evaluates.  Two lower bounds decide which rows those are.  The L1
+bound of a block, lb(p) = const(p) + min(base) - ||w(p)||_1, comes from
+one (2^k x k)(k x m) product for all blocks at once; the bound of a head
+row,
 
-A first pass evaluates the block of lowest L1 bound alone.  The
-candidates are the other blocks whose L1 bound, less a rounding slack,
-is within the tie tolerance of that block's minimum; every other block
-is skipped there, and only the candidates get a 6-bit head bound.  The
-pass walks them in increasing 6-bit bound, in chunks of at most 8
-blocks, each cut off at the frontier: the first candidate whose bound,
-less the slack, is above the running minimum plus the tie tolerance.  A
-block of the chunk whose 9-bit bound, less the slack, is above that
-limit is skipped too.  The frontier is taken again after every chunk,
-and the pass stops when the next chunk would be empty: no value in a
-skipped block can be a minimizer or tie with one.  The pass keeps the
-values of the evaluated blocks whose minimum is within the running tie
-limit, up to 8 blocks.  A second pass reads, in prefix order, the
-values of the blocks within the final tie tolerance, to count minimizers
-and pick the lexicographically smallest one; only where more than 8
-blocks tied on the way does it evaluate those blocks again, in chunks.
-The result is the one a scan of all 2^n vectors gives, bit for bit (see
-:func:`brute_force_minimize` for against what).  How much is skipped
-depends on the data: where every vector ties (Q = 0, c = 0), every block
-is evaluated, and again in the second pass.
+    heads[p, u] + B(u) - ||w_v(p)||_1,   B(u) = min_v base(u, v),
+
+is the L1 bound made exact over the head bits, so never below it; it
+costs two small sums beyond H.
+
+A first pass evaluates every head row of the block of lowest L1 bound.
+The candidates are the other blocks whose L1 bound, less a rounding
+slack, is within the tie tolerance of that block's minimum; every other
+block is skipped there.  The pass walks the candidates in increasing L1
+bound, in chunks of at most 64 blocks, each cut off at the frontier: the
+first candidate whose L1 bound, less the slack, is above the running
+minimum plus the tie tolerance.  In each chunk it evaluates only the head
+rows whose bound is within that limit plus the slack, 256 rows at a
+time, and takes the limit again before each slice.  The frontier is
+taken again after every chunk, and the pass stops when the next chunk
+would be empty: no value in a skipped row or block can be a minimizer or
+tie with one.  The pass keeps the values of the evaluated head rows whose
+minimum is within the running tie limit, up to 8 blocks' worth.  A
+second pass reads, in prefix order, the values of the head rows within
+the final tie tolerance, to count minimizers and pick the
+lexicographically smallest one; only where more than 8 blocks' worth
+tied on the way does it evaluate the tied blocks again, whole and in
+chunks, by the same sums.  The result is the one a scan of all 2^n
+vectors gives, bit for bit (see :func:`brute_force_minimize` for against
+what and for the tolerances).  How much is skipped depends on the data:
+where every vector ties (Q = 0, c = 0), every head row is evaluated, and
+every block again in the second pass.
 """
 
 from __future__ import annotations
@@ -67,21 +73,29 @@ import numpy as np
 from .model import BqpInstance
 
 _BLOCK_BITS = 13
-# Blocks per product in both passes, after the first block, and the most
-# tied blocks whose values the first pass keeps for the second.  On the
-# n = 24 instances of the near-boundary benchmark, evaluating the tied
-# blocks again instead made a call 5-9% slower (13.5 block rows a call
-# instead of 12.4; one BLAS thread, 2 vCPUs).
+# Blocks' worth of tied values the first pass keeps for the second, and
+# blocks per product where the second pass evaluates them again.
 _CHUNK = 8
-# Suffix bits over which the head bounds are exact: the bound that orders
-# the candidates, and the one that screens each chunk.  On the same
-# instances, ordering by the 9-bit bound with no screen made a call 7-17%
-# slower: its 2^9-column product is paid for every candidate.
+# Suffix bits of a head row: a row holds the 2^(13 - 6) = 128 values that
+# share a prefix and the first 6 suffix bits.
 _HEAD_BITS = 6
-_SCREEN_BITS = 9
+# Blocks per chunk of the first pass.  On four 64-instance pools of the
+# n = 24 instances of the near-boundary benchmark (one BLAS thread, 2
+# vCPUs), a call took 21-36% longer with chunks of 16 blocks, -2% to +11%
+# with 32, and -4% to +5% with 128.  Walking the candidates in order of
+# their 6-bit head bound (the least bound of their head rows) instead took
+# 7-9% longer in chunks of 32 and 21-26% in chunks of 8 (measured before
+# the row slices): it forms every candidate's H once more, to sort them.
+_WALK_CHUNK = 64
+# Head rows evaluated at a time: their values and the one gathered
+# operand beside them take 512 KB, as a product of 8 whole blocks did.
+_SLICE_ROWS = 256
 _TIE_REL = 1e-9
-# Rounding slack of the block bounds, relative to the data's scale.
+# Rounding slack of the bounds, relative to the data's scale.
 _SLACK_REL = 1e-12
+# Integral data whose 1/2 sum|Q_ij| + sum|c_i| is below this are summed
+# exactly (see brute_force_minimize).
+_EXACT_SCALE = 2.0 ** 52
 
 
 class TooLarge(Exception):
@@ -116,8 +130,9 @@ def _sign_table(bits: int) -> np.ndarray:
 def _suffix_table(bits: int) -> np.ndarray:
     """The read-only sign table of width ``bits``, built on first use.
 
-    It serves the suffixes, the head bits, the halves of the cost tables
-    and prefixes of up to 13 bits (n <= 26).  Widths run from 0 to the
+    It serves the suffixes (whose rows also give the head and tail
+    tables), the halves of the cost tables and prefixes of up to 13 bits
+    (n <= 26).  Widths run from 0 to the
     block width, so at most 14 tables (1.6 MB) are ever kept.
     """
     table = _sign_table(bits)
@@ -139,7 +154,7 @@ def _costs(a, b) -> np.ndarray:
     x splits into its first h = len(b) // 2 bits u and the rest v, so the
     table is ``(U A_uv) V' + b(u)[:, None] + b(v)`` raveled, with U and V
     the sign tables of the halves and b(u), b(v) the costs of the halves
-    alone; on integer data every sum is exact.
+    alone.
     """
     h = b.shape[0] // 2
     u, v = _signs(h), _signs(b.shape[0] - h)
@@ -151,108 +166,144 @@ def _costs(a, b) -> np.ndarray:
     return costs.ravel()
 
 
-def _tie_limit(best):
-    """The largest value that ties with ``best``."""
-    return best + _TIE_REL * (1.0 + abs(best))
+def _tolerances(q, c):
+    """The tie tolerance, relative to ``1 + |best|``, and the rounding
+    slack of the bounds: both 0 on data whose every partial sum is exact
+    (see :func:`brute_force_minimize`), else ``1e-9`` and ``1e-12 * (1 +
+    2S)`` with ``S = sum|Q_ij| + sum|c_i|``."""
+    abs_q, abs_c = np.abs(q).sum(), np.abs(c).sum()
+    if 0.5 * abs_q + abs_c < _EXACT_SCALE and (q == np.trunc(q)).all() and (c == np.trunc(c)).all():
+        return 0.0, 0.0
+    return _TIE_REL, _SLACK_REL * (1.0 + 2.0 * (abs_q + abs_c))
+
+
+def _head_rows(p, const, q_ps, suffixes, base):
+    """The head rows of the blocks with prefixes ``p`` (one per row) and
+    prefix costs ``const``: ``heads``, ``tails`` and the rows' bounds.
+
+    ``base`` is the suffix cost table as one row per head u, the first t
+    suffix bits: ``base[u, v] = base(u, v)``, v the other r bits.  With
+    w(p) = Q_ps' p split alike into w_u and w_v,
+
+        heads[p, u] = const(p) + w_u(p)'u,   tails[p, v] = w_v(p)'v,
+
+    and the bound of head row (p, u), at most each of its values, is
+    ``heads[p, u] + min_v base(u, v) - ||w_v(p)||_1``.  The sign tables of
+    the heads and of the tails are views of ``suffixes``: its rows 0, 2^r,
+    2 * 2^r, ... hold the heads in order and its first 2^r rows the tails.
+
+    A single block is evaluated as two rows: numpy sends a one-row product
+    to gemv, whose sums can round otherwise than gemm's, and a block must
+    get the same values in whatever chunk it is evaluated.
+    """
+    blocks = len(p)
+    if blocks == 1:
+        p, const = np.repeat(p, 2, axis=0), np.repeat(const, 2)
+    head_bits = base.shape[0].bit_length() - 1
+    width = base.shape[1]
+    w = p @ q_ps
+    heads = w[:, :head_bits] @ suffixes[::width, :head_bits].T
+    heads += const[:, None]
+    tails = w[:, head_bits:] @ suffixes[:width, head_bits:].T
+    heads, tails = heads[:blocks], tails[:blocks]
+    bounds = heads + np.minimum.reduce(base, axis=1)
+    bounds -= np.add.reduce(np.abs(w[:blocks, head_bits:]), axis=1)[:, None]
+    return heads, tails, bounds
+
+
+def _row_values(heads, tails, base, rows, cols) -> np.ndarray:
+    """The values of the head rows (``rows[i]``, ``cols[i]``) of
+    :func:`_head_rows`, given in row-major order: one row of 2^r each,
+
+        heads[p, u] + base(u, v) + tails[p, v],   summed in that order.
+    """
+    first = rows[0]
+    if rows.size == (rows[-1] - first + 1) * heads.shape[1]:
+        # Every row of a run of blocks: the same sums, broadcast instead
+        # of gathered.
+        values = heads[first:rows[-1] + 1, :, None] + base
+        values += tails[first:rows[-1] + 1, None, :]
+        return values.reshape(rows.size, -1)
+    values = heads[rows, cols][:, None] + base[cols]
+    values += tails[rows]
+    return values
 
 
 def _block_values(p, const, q_ps, suffixes, suffix_base) -> np.ndarray:
     """Objective values of the blocks with prefixes ``p`` (one per row) and
     prefix costs ``const``: one row per block, in suffix order.
 
-    A single block is evaluated as two rows: numpy sends a one-row
-    product to gemv, whose sums can round otherwise than gemm's, and a
-    block must get the same values in whatever chunk it is evaluated.
+    :func:`_row_values` over every head row, so that a value has the same
+    bits in either pass.
     """
-    rows = len(p)
-    if rows == 1:
-        p, const = np.repeat(p, 2, axis=0), np.repeat(const, 2)
-    # In place: a fresh array per sum would cost more than the product.
-    values = (p @ q_ps) @ suffixes.T
-    values += const[:, None]
-    values += suffix_base
-    return values[:rows]
-
-
-def _head_bounds(p, const, q_ps, head_minima) -> np.ndarray:
-    """The head bound of the blocks with prefixes ``p`` (one per row) and
-    prefix costs ``const``: a lower bound on every value in each block.
-
-    ``head_minima`` holds B(u) = min_v base(u, v) for the 2^t heads u, the
-    first t bits of the suffix, in order; t is read off its length.  With
-    v the rest of the suffix, and w(p) = Q_ps' p split into w_u and w_v
-    alike, every value in block p is at least
-
-        head(p) = const(p) + min_u [B(u) + w_u(p)'u] - ||w_v(p)||_1,
-
-    the L1 bound made exact over the head bits, so never below it.
-    """
-    t = head_minima.size.bit_length() - 1
-    w = p @ q_ps
-    heads = w[:, :t] @ _suffix_table(t).T
-    heads += head_minima
-    bounds = heads.min(axis=1)
-    bounds += const
-    bounds -= np.abs(w[:, t:]).sum(axis=1)
-    return bounds
+    base = suffix_base.reshape(2 ** min(_HEAD_BITS, suffixes.shape[1]), -1)
+    heads, tails, _ = _head_rows(p, const, q_ps, suffixes, base)
+    rows, cols = np.divmod(np.arange(heads.size), heads.shape[1])
+    return _row_values(heads, tails, base, rows, cols).reshape(len(p), -1)
 
 
 def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
     """Return the global minimum over all 2^n sign vectors.
 
-    Ties within ``1e-9 * (1 + |best|)`` of the minimum are counted, and
-    the reported minimizer is the lexicographically smallest of them
-    (ordering -1 < +1).
+    Ties are counted, and the reported minimizer is the lexicographically
+    smallest of them (ordering -1 < +1).  On integral data with ``V =
+    1/2 sum|Q_ij| + sum|c_i| < 2^52`` a tie is an equal value; on other
+    data it is a value within ``1e-9 * (1 + |best|)`` of the minimum.
 
     The cost tables base and const come from half-width tables, and only
-    blocks that can hold a minimizer are evaluated (see the module
-    docstring).  The first pass evaluates the block of least lb (the
-    first in prefix order among equal bounds), of minimum ``b1``.  It
-    skips every block with ``lb - slack > b1 + 1e-9 * (1 + |b1|)``, and
-    orders the rest, the candidates, by lb and then by their 6-bit head
-    bound (stable sorts, so equal bounds keep prefix order).  After each
-    chunk it takes the frontier, the first candidate in that order with
-    ``head_6 - slack > best + 1e-9 * (1 + |best|)``, ``best`` being the
-    minimum so far, and takes at most 8 more candidates short of it; of
-    those it evaluates the ones with ``head_9 - slack`` at or below that
-    limit.  All three bounds are at most every value of their block,
-    later candidates have 6-bit bounds at least as high, ``best <= b1``,
-    and ``b -> b + 1e-9 * (1 + |b|)`` is increasing, so every skipped
-    value is above the final minimum plus the tie tolerance.  The blocks
-    evaluated include every block that a one-block-at-a-time walk in the
-    same order visits.  The minimum, the evaluated blocks within the tie
-    tolerance, and so the count and the lexicographic winner, are
+    head rows that can hold a minimizer are evaluated (see the module
+    docstring).  The first pass evaluates every head row of the block of
+    least lb (the first in prefix order among equal bounds), of minimum
+    ``b1``.  It skips every block with ``lb - slack > b1 + tol(b1)``,
+    ``tol(b) = 1e-9 * (1 + |b|)`` (0 on integral data), and walks the
+    rest, the candidates, in a stable sort by lb.  Before each chunk it
+    takes the frontier, the first candidate in that order with ``lb -
+    slack > best + tol(best)``, ``best`` being the minimum so far, and
+    takes at most 64 more candidates short of it; of those it evaluates
+    the head rows whose bound is at or below that limit plus the slack,
+    the limit taken again before each slice of 256 rows.  Both
+    bounds are at most every value of their block or row, later
+    candidates have L1 bounds at least as high, ``best <= b1``, and ``b ->
+    b + tol(b)`` is increasing, so every skipped value is above the final
+    minimum plus the tie tolerance.  The minimum, the evaluated rows within
+    the tie tolerance, and so the count and the lexicographic winner, are
     therefore those of a full scan; the minimum is read as the first one
     in prefix order, as a full scan finds it, which also fixes the sign
-    of a zero minimum.  The values of those tied blocks are the ones the
-    first pass kept, unless more than 8 blocks were within the running
-    tie limit at once; then they are evaluated again.
+    of a zero minimum.  The values of those tied rows are the ones the
+    first pass kept, unless more than 8 blocks' worth of them were within
+    the running tie limit at once; then their blocks are evaluated again.
 
-    On integer-valued data (every generator, fixture and test instance)
-    every partial sum is exact, so ``best_x``, the bytes of
-    ``best_value`` and ``minimizer_count`` are those of any scan of all
-    2^n values.  On other data they are those of a scan of every block
-    through the same kernel, the cost tables of :func:`_costs` included,
-    in chunks of any size, wherever a row of a gemm product does not
-    depend on the rows beside it (OpenBLAS's does not;
+    On integral data with ``V < 2^52`` every sum the oracle forms is
+    exact, so ``best_x``, the bytes of ``best_value`` and
+    ``minimizer_count`` are those of any exact scan of all 2^n values,
+    and the tie tolerance and the slack are 0.  A value is a sum of the
+    terms ``p_i Q_ij s_j``, ``Q_ij x_i x_j / 2`` and ``c_i x_i``, whose
+    magnitudes add up to at most V, and every partial sum the kernel and
+    the bounds form is a multiple of 1/2 bounded by the magnitudes of
+    distinct ones of those terms, so by V < 2^52, and is held exactly in
+    float64.  That covers the entries of the gemm products W = P Q_ps, H,
+    T and U A_uv V' in whatever order BLAS sums them, ``||w_v||_1``, B(u),
+    the head row bounds and lb(p).  The inner sums ``x'Ax`` of the costs
+    of the halves are integers of magnitude at most ``sum|Q_ij| <= 2V <
+    2^53`` before they are halved, so they are exact too.
+
+    On other data the results are those of a scan of every block through
+    the same kernel, the cost tables of :func:`_costs` included, in chunks
+    of any size (:func:`_block_values`), wherever a row of a gemm product
+    does not depend on the rows beside it (OpenBLAS's does not;
     ``tests/test_oracle_float_property.py`` checks it); a single block is
-    evaluated as two rows to stay on gemm.
-
-    The slack is ``1e-12 * (1 + 2S)`` with ``S = sum|Q_ij| + sum|c_i|``.
-    Every partial sum formed in evaluating a value, a cost or a bound is
-    at most S in magnitude: a value is a sum of terms such as ``p_i Q_ij
-    s_j`` whose magnitudes add up to at most S, and every partial sum of
-    const(p), base(s), lb(p) or a head bound, B(u) and the ``|w_j(p)|``
-    included, is a signed sub-sum of those terms.  Rounding moves each by
-    a few n * 2^-53 * S, far below the slack at any n whose tables fit in
-    memory.  Where 2S overflows, the slack is infinite and every block is
-    evaluated: a block is only skipped when no evaluation in it can
+    evaluated as two rows to stay on gemm.  The slack is then ``1e-12 *
+    (1 + 2S)`` with ``S = sum|Q_ij| + sum|c_i|``.  Every partial sum formed
+    in evaluating a value, a cost or a bound is at most S in magnitude, by
+    the argument above, and rounding moves each by a few n *
+    2^-53 * S, far below the slack at any n whose tables fit in memory.
+    Where 2S overflows, the slack is infinite and every head row of every
+    block is evaluated: a row is only skipped when no evaluation in it can
     overflow, and its bound is finite.
 
-    Raises :class:`TooLarge` for ``n > max_n``, for a sign table or a
-    slice of head bounds that cannot be allocated, and for data on which
-    an evaluated block has a minimum that is not finite (the objective
-    overflows float64).
+    Raises :class:`TooLarge` for ``n > max_n``, for a sign table that
+    cannot be allocated, and for data on which an evaluated block has a
+    minimum that is not finite (the objective overflows float64).
     """
     n = inst.n
     if n > max_n:
@@ -275,88 +326,100 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
             # Per-suffix cost that does not depend on the prefix.
             suffix_base = _costs(q_ss, c_s)
             const = _costs(q_pp, c_p)
-            lower = const + suffix_base.min() - np.abs(prefixes @ q_ps).sum(axis=1)
+            # The row sums as a product: numpy's sum along rows of m <= 13
+            # entries took several times as long.
+            lower = const + suffix_base.min() - np.abs(prefixes @ q_ps) @ np.ones(m)
         except MemoryError as exc:
             raise TooLarge(f"cannot allocate the sign tables at n={n}") from exc
-        slack = _SLACK_REL * (1.0 + 2.0 * (np.abs(q).sum() + np.abs(c).sum()))
+        tie_rel, slack = _tolerances(q, c)
+        head_bits = min(_HEAD_BITS, m)
+        head_count = 2 ** head_bits
+        # base(u, v) by head row.
+        base = suffix_base.reshape(head_count, -1)
         # An infinite slack skips nothing, whatever the bound (even NaN).
-        bounded = np.isfinite(slack)
-        key = lower - slack if bounded else np.full(2 ** k, -np.inf)
-
-        def evaluate(idx):
-            return _block_values(prefixes[idx], const[idx], q_ps, suffixes, suffix_base)
+        key = lower - slack
 
         block_mins = np.full(2 ** k, np.inf)
+        evaluated = []
+        best = limit = np.inf
+        # The tied head rows' values by (block, head), with their minima;
+        # None once more than _CHUNK blocks' worth of rows are tied.
+        kept = {}
+
+        def walk(idx):
+            """Evaluate the head rows of blocks ``idx`` whose bound is not
+            above the running tie limit plus the slack, _SLICE_ROWS at a
+            time."""
+            nonlocal best, limit, kept
+            heads, tails, bounds = _head_rows(prefixes[idx], const[idx], q_ps, suffixes, base)
+            all_rows, all_cols = np.nonzero(~(bounds > limit + slack))
+            for lo in range(0, all_rows.size, _SLICE_ROWS):
+                rows, cols = all_rows[lo:lo + _SLICE_ROWS], all_cols[lo:lo + _SLICE_ROWS]
+                if lo:
+                    # The limit may have fallen since the rows were cut.
+                    near = ~(bounds[rows, cols] > limit + slack)
+                    rows, cols = rows[near], cols[near]
+                    if not rows.size:
+                        continue
+                values = _row_values(heads, tails, base, rows, cols)
+                row_mins = np.minimum.reduce(values, axis=1)
+                blocks = idx[rows]
+                np.minimum.at(block_mins, blocks, row_mins)
+                evaluated.append(blocks)
+                best = min(best, row_mins.min())
+                limit = best + tie_rel * (1.0 + abs(best))
+                if kept is not None:
+                    kept = {at: row for at, row in kept.items() if row[0] <= limit}
+                    # Copies, so that the slice's values are let go.
+                    kept.update(((int(blocks[j]), int(cols[j])), (row_mins[j], values[j].copy()))
+                                for j in np.flatnonzero(row_mins <= limit))
+                    if len(kept) > _CHUNK * head_count:
+                        kept = None
+                # Let the slice's values go before the next slice's are made.
+                del values
+
+        # The block of least L1 key first, every head row of it.
         first = np.argmin(key, keepdims=True)
-        values = evaluate(first)
-        best = block_mins[first[0]] = values.min()
-        evaluated = [first]
-        # The value rows of the evaluated blocks within the running tie
-        # limit, by block; None once more than _CHUNK of them are.
-        kept = {int(first[0]): values[0]}
-        limit = _tie_limit(best)
+        walk(first)
         # The candidates: every other block short of the L1 frontier, in
         # the order of a stable sort of all the L1 keys (a NaN limit, from a
         # first block that overflows, keeps them all).
         cand = np.flatnonzero(~(key > limit))
         cand = cand[cand != first[0]]
         cand = cand[np.argsort(key[cand], kind="stable")]
-        head_key = np.full(cand.size, -np.inf)
-        if bounded:
-            screen_minima = suffix_base.reshape(2 ** min(_SCREEN_BITS, m), -1).min(axis=1)
-            order_minima = screen_minima.reshape(2 ** min(_HEAD_BITS, m), -1).min(axis=1)
-            # In slices, so that no product outgrows the 2^k x m one above.
-            step = max(1, (2 ** k * m) >> min(_HEAD_BITS, m))
-            try:
-                for lo in range(0, cand.size, step):
-                    idx = cand[lo:lo + step]
-                    head_key[lo:lo + step] = _head_bounds(prefixes[idx], const[idx], q_ps, order_minima) - slack
-            except MemoryError as exc:
-                raise TooLarge(f"cannot allocate the head bounds at n={n}") from exc
-        walk = np.argsort(head_key, kind="stable")
-        cand, sorted_key = cand[walk], head_key[walk]
-
+        sorted_key = key[cand]
         start = 0
-        stop = min(np.searchsorted(sorted_key, limit, side="right"), _CHUNK)
+        stop = min(np.searchsorted(sorted_key, limit, side="right"), _WALK_CHUNK)
         while start < stop:
-            idx = cand[start:stop]
-            if bounded:
-                idx = idx[_head_bounds(prefixes[idx], const[idx], q_ps, screen_minima) - slack <= limit]
-            if idx.size:
-                values = evaluate(idx)
-                mins = values.min(axis=1)
-                block_mins[idx] = mins
-                evaluated.append(idx)
-                best = min(best, mins.min())
-                limit = _tie_limit(best)
-                if kept is not None:
-                    kept = {i: row for i, row in kept.items() if block_mins[i] <= limit}
-                    # Copies, so that the chunk's values are let go.
-                    kept.update((int(idx[j]), values[j].copy()) for j in np.flatnonzero(mins <= limit))
-                    if len(kept) > _CHUNK:
-                        kept = None
-                # Let the chunk's values go before the next chunk's are made.
-                del values
+            walk(cand[start:stop])
             frontier = np.searchsorted(sorted_key, limit, side="right")
-            start, stop = stop, min(frontier, stop + _CHUNK)
+            start, stop = stop, min(frontier, stop + _WALK_CHUNK)
         if not np.isfinite(block_mins[np.concatenate(evaluated)]).all():
             raise TooLarge("objective values overflow float64")
         # The first minimum in prefix order, as a full scan finds it.
         best = block_mins[np.argmin(block_mins)]
 
-        limit = _tie_limit(best)
-        tied = np.flatnonzero(block_mins <= limit)
+        limit = best + tie_rel * (1.0 + abs(best))
         if kept is not None:
-            chunks = [(tied, np.stack([kept[i] for i in tied.tolist()]))]
-        else:
-            chunks = ((idx, evaluate(idx)) for idx in np.split(tied, range(_CHUNK, tied.size, _CHUNK)))
-        count = 0
-        best_index = None
-        for idx, values in chunks:
+            tied = sorted(at for at, row in kept.items() if row[0] <= limit)
+            values = np.stack([kept[at][1] for at in tied])
             rows, cols = np.nonzero(values <= limit)
-            count += rows.size
-            if best_index is None and rows.size:
-                best_index = (int(idx[rows[0]]) << m) | int(cols[0])
+            count = rows.size
+            block, head = tied[rows[0]]
+            best_index = (block << m) | (head << (m - head_bits)) | int(cols[0])
+        else:
+            tied = np.flatnonzero(block_mins <= limit)
+            count = 0
+            best_index = None
+            for lo in range(0, tied.size, _CHUNK):
+                idx = tied[lo:lo + _CHUNK]
+                values = _block_values(prefixes[idx], const[idx], q_ps, suffixes, suffix_base)
+                rows, cols = np.nonzero(values <= limit)
+                count += rows.size
+                if best_index is None and rows.size:
+                    best_index = (int(idx[rows[0]]) << m) | int(cols[0])
+                # Let the chunk's values go before the next chunk's are made.
+                del values
 
     best_x = np.concatenate([prefixes[best_index >> m], suffixes[best_index & (2 ** m - 1)]])
     return OracleResult(best_x=best_x, best_value=float(best), minimizer_count=int(count))

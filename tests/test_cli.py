@@ -277,6 +277,12 @@ class TestOracle:
         assert fields["minimizer_count"] == "1"
         assert fields["best_x"] == "-1 1 -1 -1 -1"
 
+    def test_exact_ties_on_integral_data(self):
+        # Two vectors 2 apart at 1e10: integral data tie only exactly.
+        proc = run_cli("oracle", str(FIXTURES / "near_tie2.bqp"))
+        assert proc.returncode == 0
+        assert proc.stdout == "best_x 1 1\nbest_value -10000000001\nminimizer_count 1\n"
+
     def test_refuses_large_instance(self, tmp_path):
         big = tmp_path / "big.bqp"
         run_cli("gen", "-n", "26", "--seed", "1", "-o", str(big))

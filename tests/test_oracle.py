@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import golden_data as gold
+from conftest import load_fixture_text
 import bqpbench.oracle as oracle
 from bqpbench import BqpInstance, GenConfig, TooLarge, brute_force_minimize, generate_instance, objective_value
 from bqpbench.fileio import parse_instance
@@ -156,23 +157,64 @@ def test_pruned_result_is_the_full_scan_bitwise(seed):
     assert result.minimizer_count == ref_count
 
 
+def spy_on_the_kernel(monkeypatch, bounded=None, valued=None):
+    """Spy on the head-row kernel, which both passes use (_block_values
+    too): ``bounded(p)`` for each call of _head_rows, the bounds of the
+    blocks with prefixes ``p``, and ``valued(p, rows, values)`` for each
+    call of _row_values that follows it, the values of rows of those
+    blocks."""
+    real_rows, real_values = oracle._head_rows, oracle._row_values
+    current = []
+
+    def head_rows(p, *rest):
+        current[:] = [p]
+        if bounded:
+            bounded(p)
+        return real_rows(p, *rest)
+
+    def row_values(heads, tails, base, rows, cols):
+        values = real_values(heads, tails, base, rows, cols)
+        if valued:
+            valued(current[0], rows, values)
+        return values
+
+    monkeypatch.setattr(oracle, "_head_rows", head_rows)
+    monkeypatch.setattr(oracle, "_row_values", row_values)
+
+
 @pytest.fixture
 def evaluated_blocks(monkeypatch):
-    """The prefix of every block the oracle evaluates, in call order: each
-    call evaluates one row of prefixes per block."""
-    prefixes = []
-    real = oracle._block_values
-    monkeypatch.setattr(oracle, "_block_values", lambda p, *rest: prefixes.extend(map(tuple, p)) or real(p, *rest))
+    """The prefix of every block the oracle evaluates values in, in call
+    order: per _head_rows call, the blocks of the head rows evaluated."""
+    prefixes, seen = [], []
+
+    def bounded(p):
+        seen[:] = [set()]
+
+    def valued(p, rows, values):
+        for i in np.unique(rows).tolist():
+            if i not in seen[0]:
+                seen[0].add(i)
+                prefixes.append(tuple(p[i]))
+
+    spy_on_the_kernel(monkeypatch, bounded, valued)
     return prefixes
 
 
 @pytest.fixture
 def head_bounded_blocks(monkeypatch):
-    """The prefix of every block the oracle computes a head bound for."""
+    """The prefix of every block the oracle bounds the head rows of."""
     prefixes = []
-    real = oracle._head_bounds
-    monkeypatch.setattr(oracle, "_head_bounds", lambda p, *rest: prefixes.extend(map(tuple, p)) or real(p, *rest))
+    spy_on_the_kernel(monkeypatch, bounded=lambda p: prefixes.extend(map(tuple, p)))
     return prefixes
+
+
+@pytest.fixture
+def evaluated_values(monkeypatch):
+    """The number of values each _row_values call evaluates."""
+    counts = []
+    spy_on_the_kernel(monkeypatch, valued=lambda p, rows, values: counts.append(values.size))
+    return counts
 
 
 def test_pruning_skips_most_blocks_of_a_planted_instance(evaluated_blocks):
@@ -209,18 +251,20 @@ def test_no_block_is_skipped_where_the_data_scale_overflows(evaluated_blocks, di
     assert len(set(evaluated_blocks)) == evaluated
 
 
-def test_head_bound_prunes_the_pool(evaluated_blocks):
-    # With the L1 bound alone, the 8 pool instances evaluate 659 block
-    # rows over both passes; the 6-bit head bound cut that to 134, and the
-    # 9-bit screen with the kept tie rows to 58.
+def test_head_bound_prunes_the_pool(evaluated_values):
+    # The 8 pool instances evaluate, over both passes, 659 whole blocks
+    # with the L1 bound alone, 134 with the 6-bit head bound, and 58 with
+    # the 9-bit screen and the kept tie rows (475,136 values); evaluating
+    # only the head rows whose bound is within the tie limit, 185,472
+    # values (1,449 head rows of 128).
     for seed in POOL_SEEDS:
         brute_force_minimize(kind_b_instance(seed, 24))
-    assert len(evaluated_blocks) <= 80
+    assert sum(evaluated_values) <= 190_000
 
 
 def test_head_bounds_are_lazy_on_a_planted_instance(head_bounded_blocks):
-    # Only the blocks within the L1 frontier of the first block's minimum
-    # get a head bound: a handful of the 4096 blocks at n = 25.
+    # Only the blocks within the L1 frontier of the running minimum get
+    # head row bounds: a handful of the 4096 blocks at n = 25.
     inst, cert = generate_instance(GenConfig(n=25, seed=0))
     result = brute_force_minimize(inst)
     np.testing.assert_array_equal(result.best_x, cert.x)
@@ -247,11 +291,12 @@ def test_unplanted_fixture_golden(fixtures_dir):
 
 
 @pytest.mark.parametrize("seed, linear", [(0, True), (1, True), (2, False), (3, False)])
-def test_first_block_and_candidates_follow_the_full_stable_sort(evaluated_blocks, head_bounded_blocks, seed, linear):
+def test_first_block_and_candidates_follow_the_full_stable_sort(head_bounded_blocks, seed, linear):
     # Entries in -1..1 give many equal L1 keys, and with c = 0 the least
     # key is that of p and of -p.  The oracle takes the first block by
-    # argmin and sorts only the candidates; the first block and the
-    # candidates' order must be those of a stable sort of all keys.
+    # argmin and sorts only the candidates; the first block and the order
+    # in which the candidates are walked must be those of a stable sort of
+    # all keys.
     rng = np.random.default_rng(seed)
     n = 19
     a = rng.integers(-1, 2, size=(n, n)).astype(float)
@@ -261,16 +306,30 @@ def test_first_block_and_candidates_follow_the_full_stable_sort(evaluated_blocks
     prefixes = oracle._sign_table(k)
     const = 0.5 * np.einsum("ij,jk,ik->i", prefixes, q_pp, prefixes) - prefixes @ inst.c[:k]
     suffix_base = oracle._costs(q_ss, inst.c[k:])
-    slack = oracle._SLACK_REL * (1.0 + 2.0 * (np.abs(inst.q).sum() + np.abs(inst.c).sum()))
-    key = const + suffix_base.min() - np.abs(prefixes @ q_ps).sum(axis=1) - slack
+    # Integer data: ties are exact and the slack is 0.
+    assert oracle._tolerances(inst.q, inst.c) == (0.0, 0.0)
+    key = const + suffix_base.min() - np.abs(prefixes @ q_ps).sum(axis=1)
     order = np.argsort(key, kind="stable")
     p = prefixes[order[0]]
     first_min = const[order[0]] + (suffix_base + oracle._suffix_table(oracle._BLOCK_BITS) @ (q_ps.T @ p)).min()
-    cand = order[1:np.searchsorted(key[order], oracle._tie_limit(first_min), side="right")]
+    cand = order[1:np.searchsorted(key[order], first_min, side="right")]
     assert np.unique(key[cand]).size < cand.size // 2
     assert linear or (key == key.min()).sum() > 1
 
     brute_force_minimize(inst)
-    assert evaluated_blocks[0] == tuple(p)
-    # The candidates get their 6-bit head bounds first, in one slice.
-    assert head_bounded_blocks[:cand.size] == list(map(tuple, prefixes[cand]))
+    assert head_bounded_blocks[0] == tuple(p)
+    # The candidates are walked in that order, the first chunk whole.
+    walked = head_bounded_blocks[1:]
+    assert min(cand.size, oracle._WALK_CHUNK) <= len(walked) <= cand.size
+    assert walked == list(map(tuple, prefixes[cand[:len(walked)]]))
+
+
+def test_exact_ties_on_integral_data():
+    # f(x) = -x_1 - 1e10 x_2: the two best vectors are 2 apart, within the
+    # relative tie tolerance 1e-9 * (1 + 1e10) of non-integral data, but on
+    # integral data ties are exact.
+    inst = parse_instance(load_fixture_text("near_tie2.bqp")).instance
+    result = brute_force_minimize(inst)
+    np.testing.assert_array_equal(result.best_x, [1.0, 1.0])
+    assert result.best_value == -10000000001.0
+    assert result.minimizer_count == 1

@@ -11,13 +11,13 @@ from bqpbench import BqpInstance, brute_force_minimize
 
 def test_the_suffix_table_is_built_once_and_read_only(monkeypatch):
     tables = []
-    real = oracle._block_values
+    real = oracle._head_rows
 
-    def spy(p, const, q_ps, suffixes, suffix_base):
+    def spy(p, const, q_ps, suffixes, base):
         tables.append(suffixes)
-        return real(p, const, q_ps, suffixes, suffix_base)
+        return real(p, const, q_ps, suffixes, base)
 
-    monkeypatch.setattr(oracle, "_block_values", spy)
+    monkeypatch.setattr(oracle, "_head_rows", spy)
     rng = np.random.default_rng(5)
     n = 16
     a = rng.integers(-9, 10, size=(n, n)).astype(float)

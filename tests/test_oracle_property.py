@@ -51,23 +51,79 @@ def test_pruned_oracle_equals_the_full_table(inst):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.one_of(_small_integer_instances(), _gaussian_instances()), st.sampled_from([oracle._HEAD_BITS, oracle._SCREEN_BITS]))
-def test_head_bound_is_below_every_block_minimum(inst, bits):
-    # Block p holds the 2^13 vectors with prefix p, consecutive in the
-    # full table.  Its head bound at the ordering (6) and the screening
-    # (9) width is at most its minimum and at least its L1 bound, both up
-    # to the oracle's rounding slack.
+@given(st.one_of(_small_integer_instances(), _gaussian_instances()), st.sampled_from([1, oracle._HEAD_BITS, 9]),
+       st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_head_bound_is_below_every_block_minimum(inst, bits, quantile):
+    # Block p holds the 2^13 vectors with prefix p, consecutive in the full
+    # table, and its head row u the 2^(13 - bits) of them whose suffix
+    # starts with u.  The oracle evaluates a head row unless the row's
+    # bound is above a cut; that bound is at most the row's minimum and
+    # at least the block's L1 bound, both up to the oracle's rounding slack
+    # (0 on integer data, where the values are exact).  So, at any head
+    # width, every row whose minimum is at most the cut less the slack is
+    # evaluated, no row of a block whose L1 bound less the slack is above
+    # the cut is, and the rows' values are the full table's.
     m = min(inst.n, oracle._BLOCK_BITS)
     k = inst.n - m
     q, c = inst.q, inst.c
-    q_ps, q_ss = q[:k, k:], q[k:, k:]
-    suffixes = oracle._sign_table(m)
+    q_ps = q[:k, k:]
     prefixes = oracle._sign_table(k)
-    suffix_base = 0.5 * np.einsum("ij,jk,ik->i", suffixes, q_ss, suffixes) - suffixes @ c[k:]
-    const = 0.5 * np.einsum("ij,jk,ik->i", prefixes, q[:k, :k], prefixes) - prefixes @ c[:k]
-    block_mins = full_table(inst)[1].reshape(2 ** k, 2 ** m).min(axis=1)
+    suffix_base = oracle._costs(q[k:, k:], c[k:])
+    const = oracle._costs(q[:k, :k], c[:k])
+    values = full_table(inst)[1].reshape(2 ** k, 2 ** bits, -1)
+    row_mins = values.min(axis=2)
+    cut = np.quantile(row_mins, quantile)
+    _, slack = oracle._tolerances(q, c)
+    base = suffix_base.reshape(2 ** bits, -1)
+    head_values, tails, bounds = oracle._head_rows(prefixes, const, q_ps, oracle._suffix_table(m), base)
+    rows, heads = np.nonzero(~(bounds > cut))
+    evaluated = np.zeros(row_mins.shape, dtype=bool)
+    evaluated[rows, heads] = True
+    assert evaluated[row_mins <= cut - slack].all()
     l1 = const + suffix_base.min() - np.abs(prefixes @ q_ps).sum(axis=1)
-    slack = oracle._SLACK_REL * (1.0 + 2.0 * (np.abs(q).sum() + np.abs(c).sum()))
-    head = oracle._head_bounds(prefixes, const, q_ps, suffix_base.reshape(2 ** bits, -1).min(axis=1))
-    assert (head - slack <= block_mins).all()
-    assert (head + slack >= l1).all()
+    assert (l1[rows] - slack <= cut).all()
+    if rows.size:
+        got = oracle._row_values(head_values, tails, base, rows, heads)
+        np.testing.assert_allclose(got, values[rows, heads], rtol=0, atol=slack)
+
+
+@st.composite
+def _large_integer_instances(draw):
+    # Integer data up to 1e12 in magnitude: a large part, scaled, plus a
+    # small one, so that distinct values lie far closer than 1e-9 of their
+    # magnitude.
+    n = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1, 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12]))
+
+    def symmetric():
+        a = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)), dtype=np.int64)
+        a = a.reshape(n, n)
+        return np.triu(a) + np.triu(a, 1).T
+
+    def vector():
+        return np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64)
+
+    return scale * symmetric() + symmetric(), scale * vector() + vector()
+
+
+def exact_scan(q, c):
+    """Twice the minimum over all sign vectors, its count and the first
+    vector attaining it, in Python integers."""
+    n = len(c)
+    codes = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]
+    x = (2 * (codes & 1) - 1).astype(object)
+    twice = ((x @ q.astype(object)) * x).sum(axis=1) - 2 * (x @ c.astype(object))
+    best = min(twice)
+    ties = [i for i, value in enumerate(twice) if value == best]
+    return best, len(ties), x[ties[0]].astype(float)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_large_integer_instances())
+def test_ties_are_exact_on_integer_data(data):
+    q, c = data
+    twice_best, count, best_x = exact_scan(q, c)
+    result = brute_force_minimize(BqpInstance(q.astype(float), c.astype(float)))
+    assert result.minimizer_count == count
+    np.testing.assert_array_equal(result.best_x, best_x)
+    assert result.best_value == twice_best / 2
