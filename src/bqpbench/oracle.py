@@ -213,7 +213,8 @@ def _head_rows(p, const, q_ps, suffixes, base):
 
 def _row_values(heads, tails, base, rows, cols) -> np.ndarray:
     """The values of the head rows (``rows[i]``, ``cols[i]``) of
-    :func:`_head_rows`, given in row-major order: one row of 2^r each,
+    :func:`_head_rows`, given in row-major order, each once: one row of
+    2^r each,
 
         heads[p, u] + base(u, v) + tails[p, v],   summed in that order.
     """

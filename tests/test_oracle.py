@@ -186,18 +186,15 @@ def spy_on_the_kernel(monkeypatch, bounded=None, valued=None):
 def evaluated_blocks(monkeypatch):
     """The prefix of every block the oracle evaluates values in, in call
     order: per _head_rows call, the blocks of the head rows evaluated."""
-    prefixes, seen = [], []
-
-    def bounded(p):
-        seen[:] = [set()]
+    prefixes, seen = [], set()
 
     def valued(p, rows, values):
         for i in np.unique(rows).tolist():
-            if i not in seen[0]:
-                seen[0].add(i)
+            if i not in seen:
+                seen.add(i)
                 prefixes.append(tuple(p[i]))
 
-    spy_on_the_kernel(monkeypatch, bounded, valued)
+    spy_on_the_kernel(monkeypatch, lambda p: seen.clear(), valued)
     return prefixes
 
 

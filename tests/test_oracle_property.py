@@ -89,8 +89,8 @@ def test_head_bound_is_below_every_block_minimum(inst, bits, quantile):
 
 @st.composite
 def _large_integer_instances(draw):
-    # Integer data up to 1e12 in magnitude: a large part, scaled, plus a
-    # small one, so that distinct values lie far closer than 1e-9 of their
+    # Integer data scaled by up to 1e12: a large part, scaled, plus a small
+    # one, so that distinct values lie far closer than 1e-9 of their
     # magnitude.
     n = draw(st.integers(1, 12))
     scale = draw(st.sampled_from([1, 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12]))
