@@ -224,7 +224,7 @@ def _backtrack(inst, state, grad, direction, t0):
         trial_lam = t * direction
         trial_lam += lam
         trial = _trial_state(inst, trial_lam)
-        if trial.x_of_lambda is not None and trial.value >= value + _ARMIJO_COEFF * t * slope:
+        if trial.feasible and trial.value >= value + _ARMIJO_COEFF * t * slope:
             assert trial.value >= value, "accepted step must not decrease the dual"
             return trial, t
         t *= _BACKTRACK_FACTOR

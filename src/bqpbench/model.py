@@ -232,9 +232,8 @@ def _trial_state(inst: BqpInstance, lam: np.ndarray) -> DualState:
     diagonal that overflows, and a ``lam`` that is not finite, fail the
     kernel's pivot rule, so such a trial is infeasible.
     """
-    # The memo test of _memo_hit, inline: this runs once per trial.
-    memo = inst._dual_memo
-    if memo is not None and memo.lam.tobytes() == lam.tobytes():
+    memo = _memo_hit(inst, lam)
+    if memo is not None:
         return memo
     factor = _cholesky(_shifted(inst, lam))
     if factor is None:

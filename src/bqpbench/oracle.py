@@ -218,13 +218,6 @@ def _row_values(heads, tails, base, rows, cols) -> np.ndarray:
 
         heads[p, u] + base(u, v) + tails[p, v],   summed in that order.
     """
-    first = rows[0]
-    if rows.size == (rows[-1] - first + 1) * heads.shape[1]:
-        # Every row of a run of blocks: the same sums, broadcast instead
-        # of gathered.
-        values = heads[first:rows[-1] + 1, :, None] + base
-        values += tails[first:rows[-1] + 1, None, :]
-        return values.reshape(rows.size, -1)
     values = heads[rows, cols][:, None] + base[cols]
     values += tails[rows]
     return values
@@ -338,7 +331,7 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
         # base(u, v) by head row.
         base = suffix_base.reshape(head_count, -1)
         # An infinite slack skips nothing, whatever the bound (even NaN).
-        key = lower - slack
+        key = lower - slack if np.isfinite(slack) else np.full(2 ** k, -np.inf)
 
         block_mins = np.full(2 ** k, np.inf)
         evaluated = []

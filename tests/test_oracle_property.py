@@ -56,11 +56,11 @@ def test_pruned_oracle_equals_the_full_table(inst):
 def test_head_bound_is_below_every_block_minimum(inst, bits, quantile):
     # Block p holds the 2^13 vectors with prefix p, consecutive in the full
     # table, and its head row u the 2^(13 - bits) of them whose suffix
-    # starts with u.  The oracle evaluates a head row unless the row's
-    # bound is above a cut; that bound is at most the row's minimum and
-    # at least the block's L1 bound, both up to the oracle's rounding slack
-    # (0 on integer data, where the values are exact).  So, at any head
-    # width, every row whose minimum is at most the cut less the slack is
+    # starts with u.  At any head width, every row's bound is at most the
+    # row's minimum and at least the block's L1 bound, both up to the
+    # oracle's rounding slack (0 on integer data, where the values are
+    # exact).  The oracle evaluates a head row unless its bound is above a
+    # cut, so every row whose minimum is at most the cut less the slack is
     # evaluated, no row of a block whose L1 bound less the slack is above
     # the cut is, and the rows' values are the full table's.
     m = min(inst.n, oracle._BLOCK_BITS)
@@ -76,11 +76,13 @@ def test_head_bound_is_below_every_block_minimum(inst, bits, quantile):
     _, slack = oracle._tolerances(q, c)
     base = suffix_base.reshape(2 ** bits, -1)
     head_values, tails, bounds = oracle._head_rows(prefixes, const, q_ps, oracle._suffix_table(m), base)
+    l1 = const + suffix_base.min() - np.abs(prefixes @ q_ps).sum(axis=1)
+    assert (bounds - slack <= row_mins).all()
+    assert (bounds + slack >= l1[:, None]).all()
     rows, heads = np.nonzero(~(bounds > cut))
     evaluated = np.zeros(row_mins.shape, dtype=bool)
     evaluated[rows, heads] = True
     assert evaluated[row_mins <= cut - slack].all()
-    l1 = const + suffix_base.min() - np.abs(prefixes @ q_ps).sum(axis=1)
     assert (l1[rows] - slack <= cut).all()
     if rows.size:
         got = oracle._row_values(head_values, tails, base, rows, heads)
