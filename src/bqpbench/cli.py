@@ -38,8 +38,8 @@ from .fileio import (
 )
 from .generator import GenConfig, GenerationFailed, generate_instance
 from .model import BqpInstance, Certificate, objective_value
-from .oracle import TooLarge, brute_force_minimize
-from .verify import inertia_note, verify_certificate
+from .oracle import MAX_N, TooLarge, brute_force_minimize
+from .verify import CERT_TOL, inertia_note, verify_certificate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -130,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a stored certificate")
     p.add_argument("in_path", metavar="PATH")
-    p.add_argument("--tol", type=positive, default=1e-6)
+    p.add_argument("--tol", type=positive, default=CERT_TOL)
     p.set_defaults(func=run_verify)
 
     p = sub.add_parser("oracle", help="brute-force the exact minimum (small n)")
     p.add_argument("in_path", metavar="PATH")
-    p.add_argument("--force", action="store_true", help="enumerate even when n > 25")
+    p.add_argument("--force", action="store_true", help=f"enumerate even when n > {MAX_N}")
     p.set_defaults(func=run_oracle)
 
     p = sub.add_parser("bench", help="timing sweep over generated instances")
@@ -200,7 +200,7 @@ def run_verify(args) -> int:
 
 def run_oracle(args) -> int:
     f = _read_instance_file(args.in_path)
-    cap = f.instance.n if args.force else 25
+    cap = f.instance.n if args.force else MAX_N
     result = brute_force_minimize(f.instance, max_n=cap)
     print(f"best_x {format_row(result.best_x)}")
     print(f"best_value {format_number(result.best_value)}")

@@ -3,10 +3,12 @@
 Instances are built inside out: draw a random symmetric integer matrix,
 pick multipliers as the absolute row sums (diagonal included) so the
 shifted matrix is diagonally dominant, draw a random sign vector, and set
-the linear term to ``Qx + lam * x``.  :func:`model.is_dual_feasible`, the
-test the solver and ``verify`` use, confirms the shift positive definite
-and memoizes ``x(lam)``, so the planted pair ``(x, lam)`` makes ``x`` the
-unique global minimizer and every instance ships with its certificate.
+the linear term to ``Qx + lam * x``.  :func:`model.is_dual_feasible`
+confirms the shift positive definite and memoizes ``x(lam)``, and
+:func:`verify.check_certificate`, the rule the solver and ``verify`` use,
+accepts the planted pair ``(x, lam)`` on that state, so ``x`` is the
+unique global minimizer and every instance ships with a certificate that
+``verify`` accepts.
 The solver's first primal try reads that memo: ``c_i x_i >= margin >= 0``,
 so ``sign(c)`` is the planted ``x`` wherever ``c_i != 0``, its 1-flip
 descent almost always mends the rest, and at the planted ``x`` the try's
@@ -22,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BqpInstance, Certificate, is_dual_feasible, require_count
+from .verify import check_certificate
 
 _MAX_REDRAWS = 100
 
 
 class GenerationFailed(Exception):
-    """No positive definite shift within the retry policy, or a float64 overflow."""
+    """No certified draw within the retry policy, or a float64 overflow."""
 
 
 @dataclass(frozen=True)
@@ -92,15 +95,20 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     uniform random sign vector, and takes the multipliers as the absolute
     row sums of ``Q`` (diagonal included) plus the margin.  That shift is
     diagonally dominant, but only weakly where a diagonal entry is
-    negative, so each attempt sets ``c = Qx + lam * x`` and tests the
-    shift with :func:`model.is_dual_feasible`: if it fails, the next
-    attempt spawns the next stream, and after 100 redraws one last
-    attempt repeats the final draw with every multiplier bumped by 1, which
-    makes the integer shift strictly dominant.  The returned instance holds
-    the planted dual state (``lam``, ``x(lam)``) in its memo, so checking
-    the certificate or solving the instance right away factorizes nothing.  A draw whose Q, lam or
-    c is not finite (a ``base`` too large for float64), or whose n x n
-    matrix cannot be allocated, raises :class:`GenerationFailed`.
+    negative, so each attempt sets ``c = Qx + lam * x``, tests the shift
+    with :func:`model.is_dual_feasible` and, where it is positive
+    definite, checks the planted certificate on that state with
+    :func:`verify.check_certificate` (no factorization): if either fails,
+    the next attempt spawns the next stream, and after 100 redraws one
+    last attempt repeats the final draw with every multiplier bumped by
+    1, which makes the integer shift strictly dominant.  The returned
+    instance holds the planted dual state (``lam``, ``x(lam)``) in its
+    memo, so checking the certificate or solving the instance right away
+    factorizes nothing.  A draw whose Q, lam or c is not finite, or whose
+    positive definite shift has a dual value that is not finite (a
+    ``base`` too large for float64: a redraw at that scale overflows
+    too), or whose n x n matrix cannot be allocated, raises
+    :class:`GenerationFailed`.
     """
     margin = float(round_half_away(cfg.margin))
     for stream, bump in _attempts(cfg.seed):
@@ -119,8 +127,12 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
         lam = _finite(cfg, "lambda", np.abs(q).sum(axis=1) + margin + bump)
         inst = BqpInstance(q, _finite(cfg, "c", q @ x + lam * x))
         del q  # the instance holds its own copy
-        if is_dual_feasible(inst, lam).feasible:
-            return inst, Certificate(x=x, lam=lam)
+        state = is_dual_feasible(inst, lam)
+        if state.feasible:
+            # A redraw at the same scale would overflow too.
+            _finite(cfg, "the dual value", state.value)
+            if check_certificate(inst, x, state).overall:
+                return inst, Certificate(x=x, lam=lam)
     raise GenerationFailed(
-        f"no positive definite shift after {_MAX_REDRAWS} redraws and a margin bump"
+        f"no certified draw after {_MAX_REDRAWS} redraws and a margin bump"
     )

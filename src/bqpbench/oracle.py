@@ -50,17 +50,16 @@ rows whose bound is within that limit plus the slack, 256 rows at a
 time, and takes the limit again before each slice.  The frontier is
 taken again after every chunk, and the pass stops when the next chunk
 would be empty: no value in a skipped row or block can be a minimizer or
-tie with one.  The pass keeps the values of the evaluated head rows whose
-minimum is within the running tie limit, up to 8 blocks' worth.  A
-second pass reads, in prefix order, the values of the head rows within
-the final tie tolerance, to count minimizers and pick the
-lexicographically smallest one; only where more than 8 blocks' worth
-tied on the way does it evaluate the tied blocks again, whole and in
-chunks, by the same sums.  The result is the one a scan of all 2^n
+tie with one.  A second pass takes the tied blocks, those whose minimum
+is within the final tie tolerance, in prefix order and in chunks of at
+most 64, and evaluates again, by the same row loop and the same sums,
+their head rows whose bound is within that tolerance plus the slack: it
+counts the minimizers, and the first one it meets is the
+lexicographically smallest.  The result is the one a scan of all 2^n
 vectors gives, bit for bit (see :func:`brute_force_minimize` for against
 what and for the tolerances).  How much is skipped depends on the data:
 where every vector ties (Q = 0, c = 0), every head row is evaluated, and
-every block again in the second pass.
+again in the second pass.
 """
 
 from __future__ import annotations
@@ -72,14 +71,17 @@ import numpy as np
 
 from .model import BqpInstance
 
+# The largest n enumerated without --force: brute_force_minimize's and
+# ``bqpbench oracle``'s default cap.
+MAX_N = 25
+
 _BLOCK_BITS = 13
-# Blocks' worth of tied values the first pass keeps for the second, and
-# blocks per product where the second pass evaluates them again.
+# Blocks per product of the reference scan (_block_values).
 _CHUNK = 8
 # Suffix bits of a head row: a row holds the 2^(13 - 6) = 128 values that
 # share a prefix and the first 6 suffix bits.
 _HEAD_BITS = 6
-# Blocks per chunk of the first pass.  On four 64-instance pools of the
+# Blocks per chunk of either pass.  On four 64-instance pools of the
 # n = 24 instances of the near-boundary benchmark (one BLAS thread, 2
 # vCPUs), a call took 21-36% longer with chunks of 16 blocks, -2% to +11%
 # with 32, and -4% to +5% with 128.  Walking the candidates in order of
@@ -88,7 +90,7 @@ _HEAD_BITS = 6
 # the row slices): it forms every candidate's H once more, to sort them.
 _WALK_CHUNK = 64
 # Head rows evaluated at a time: their values and the one gathered
-# operand beside them take 512 KB, as a product of 8 whole blocks did.
+# operand beside them take 512 KB, as the values of 8 whole blocks do.
 _SLICE_ROWS = 256
 _TIE_REL = 1e-9
 # Rounding slack of the bounds, relative to the data's scale.
@@ -133,7 +135,7 @@ def _suffix_table(bits: int) -> np.ndarray:
     It serves the suffixes (whose rows also give the head and tail
     tables), the halves of the cost tables and prefixes of up to 13 bits
     (n <= 26).  Widths run from 0 to the
-    block width, so at most 14 tables (1.6 MB) are ever kept.
+    block width, so at most 14 tables (1.6 MB) are ever held.
     """
     table = _sign_table(bits)
     table.setflags(write=False)
@@ -143,7 +145,7 @@ def _suffix_table(bits: int) -> np.ndarray:
 def _signs(bits: int) -> np.ndarray:
     """The sign table of width ``bits``: the shared one up to the block
     width; a wider one (under ``--force`` only) is built per call and not
-    kept, as it can take hundreds of MB."""
+    cached, as it can take hundreds of MB."""
     return _suffix_table(bits) if bits <= _BLOCK_BITS else _sign_table(bits)
 
 
@@ -227,8 +229,11 @@ def _block_values(p, const, q_ps, suffixes, suffix_base) -> np.ndarray:
     """Objective values of the blocks with prefixes ``p`` (one per row) and
     prefix costs ``const``: one row per block, in suffix order.
 
-    :func:`_row_values` over every head row, so that a value has the same
-    bits in either pass.
+    The reference scan of float data: :func:`_row_values` over every head
+    row, the sums :func:`brute_force_minimize` forms, with no row skipped.
+    The oracle does not call it; ``tests/test_oracle_float_property.py``
+    scans every block with it and compares the oracle's result, bit for
+    bit.
     """
     base = suffix_base.reshape(2 ** min(_HEAD_BITS, suffixes.shape[1]), -1)
     heads, tails, _ = _head_rows(p, const, q_ps, suffixes, base)
@@ -236,7 +241,7 @@ def _block_values(p, const, q_ps, suffixes, suffix_base) -> np.ndarray:
     return _row_values(heads, tails, base, rows, cols).reshape(len(p), -1)
 
 
-def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
+def brute_force_minimize(inst: BqpInstance, max_n: int = MAX_N) -> OracleResult:
     """Return the global minimum over all 2^n sign vectors.
 
     Ties are counted, and the reported minimizer is the lexicographically
@@ -263,9 +268,11 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
     the tie tolerance, and so the count and the lexicographic winner, are
     therefore those of a full scan; the minimum is read as the first one
     in prefix order, as a full scan finds it, which also fixes the sign
-    of a zero minimum.  The values of those tied rows are the ones the
-    first pass kept, unless more than 8 blocks' worth of them were within
-    the running tie limit at once; then their blocks are evaluated again.
+    of a zero minimum.  The second pass evaluates those tied rows again:
+    the head rows, whose bound is at or below the final limit plus the
+    slack, of the blocks whose minimum is at or below that limit, in
+    prefix order, so the first value within the limit it meets is the
+    lexicographic winner.
 
     On integral data with ``V < 2^52`` every sum the oracle forms is
     exact, so ``best_x``, the bytes of ``best_value`` and
@@ -320,31 +327,33 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
             # Per-suffix cost that does not depend on the prefix.
             suffix_base = _costs(q_ss, c_s)
             const = _costs(q_pp, c_p)
-            # The row sums as a product: numpy's sum along rows of m <= 13
-            # entries took several times as long.
-            lower = const + suffix_base.min() - np.abs(prefixes @ q_ps) @ np.ones(m)
+            # The L1 bounds, with the row sums as a product: numpy's sum
+            # along rows of m <= 13 entries took several times as long.
+            key = const + suffix_base.min() - np.abs(prefixes @ q_ps) @ np.ones(m)
         except MemoryError as exc:
             raise TooLarge(f"cannot allocate the sign tables at n={n}") from exc
         tie_rel, slack = _tolerances(q, c)
         head_bits = min(_HEAD_BITS, m)
-        head_count = 2 ** head_bits
         # base(u, v) by head row.
-        base = suffix_base.reshape(head_count, -1)
-        # An infinite slack skips nothing, whatever the bound (even NaN).
-        key = lower - slack if np.isfinite(slack) else np.full(2 ** k, -np.inf)
+        base = suffix_base.reshape(2 ** head_bits, -1)
+        # The L1 bounds less the slack; an infinite slack skips nothing,
+        # whatever the bound (even NaN).
+        if np.isfinite(slack):
+            key -= slack
+        else:
+            key.fill(-np.inf)
 
         block_mins = np.full(2 ** k, np.inf)
-        evaluated = []
+        evaluated = np.zeros(2 ** k, dtype=bool)
         best = limit = np.inf
-        # The tied head rows' values by (block, head), with their minima;
-        # None once more than _CHUNK blocks' worth of rows are tied.
-        kept = {}
+        count = 0
+        best_index = None
 
-        def walk(idx):
-            """Evaluate the head rows of blocks ``idx`` whose bound is not
-            above the running tie limit plus the slack, _SLICE_ROWS at a
-            time."""
-            nonlocal best, limit, kept
+        def evaluate(idx, visit):
+            """Call ``visit(blocks, heads, values)`` on the head rows of
+            blocks ``idx`` whose bound is not above the tie limit plus the
+            slack, in row-major order, _SLICE_ROWS at a time; the limit is
+            read again before each slice."""
             heads, tails, bounds = _head_rows(prefixes[idx], const[idx], q_ps, suffixes, base)
             all_rows, all_cols = np.nonzero(~(bounds > limit + slack))
             for lo in range(0, all_rows.size, _SLICE_ROWS):
@@ -353,28 +362,32 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
                     # The limit may have fallen since the rows were cut.
                     near = ~(bounds[rows, cols] > limit + slack)
                     rows, cols = rows[near], cols[near]
-                    if not rows.size:
-                        continue
-                values = _row_values(heads, tails, base, rows, cols)
-                row_mins = np.minimum.reduce(values, axis=1)
-                blocks = idx[rows]
-                np.minimum.at(block_mins, blocks, row_mins)
-                evaluated.append(blocks)
-                best = min(best, row_mins.min())
-                limit = best + tie_rel * (1.0 + abs(best))
-                if kept is not None:
-                    kept = {at: row for at, row in kept.items() if row[0] <= limit}
-                    # Copies, so that the slice's values are let go.
-                    kept.update(((int(blocks[j]), int(cols[j])), (row_mins[j], values[j].copy()))
-                                for j in np.flatnonzero(row_mins <= limit))
-                    if len(kept) > _CHUNK * head_count:
-                        kept = None
-                # Let the slice's values go before the next slice's are made.
-                del values
+                if rows.size:
+                    visit(idx[rows], cols, _row_values(heads, tails, base, rows, cols))
+
+        def take_minima(blocks, heads, values):
+            """First pass: take the rows' minima into the blocks' and the
+            running minimum, and lower the tie limit."""
+            nonlocal best, limit
+            row_mins = np.minimum.reduce(values, axis=1)
+            np.minimum.at(block_mins, blocks, row_mins)
+            evaluated[blocks] = True
+            best = min(best, row_mins.min())
+            limit = best + tie_rel * (1.0 + abs(best))
+
+        def count_ties(blocks, heads, values):
+            """Second pass: count the values within the final tie limit;
+            the first one met is the lexicographic winner."""
+            nonlocal count, best_index
+            ties = values <= limit
+            if best_index is None and ties.any():
+                row, col = divmod(int(np.argmax(ties)), ties.shape[1])
+                best_index = (int(blocks[row]) << m) | (int(heads[row]) << (m - head_bits)) | col
+            count += np.count_nonzero(ties)
 
         # The block of least L1 key first, every head row of it.
         first = np.argmin(key, keepdims=True)
-        walk(first)
+        evaluate(first, take_minima)
         # The candidates: every other block short of the L1 frontier, in
         # the order of a stable sort of all the L1 keys (a NaN limit, from a
         # first block that overflows, keeps them all).
@@ -385,35 +398,18 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = 25) -> OracleResult:
         start = 0
         stop = min(np.searchsorted(sorted_key, limit, side="right"), _WALK_CHUNK)
         while start < stop:
-            walk(cand[start:stop])
+            evaluate(cand[start:stop], take_minima)
             frontier = np.searchsorted(sorted_key, limit, side="right")
             start, stop = stop, min(frontier, stop + _WALK_CHUNK)
-        if not np.isfinite(block_mins[np.concatenate(evaluated)]).all():
+        if not np.isfinite(block_mins[evaluated]).all():
             raise TooLarge("objective values overflow float64")
         # The first minimum in prefix order, as a full scan finds it.
         best = block_mins[np.argmin(block_mins)]
-
         limit = best + tie_rel * (1.0 + abs(best))
-        if kept is not None:
-            tied = sorted(at for at, row in kept.items() if row[0] <= limit)
-            values = np.stack([kept[at][1] for at in tied])
-            rows, cols = np.nonzero(values <= limit)
-            count = rows.size
-            block, head = tied[rows[0]]
-            best_index = (block << m) | (head << (m - head_bits)) | int(cols[0])
-        else:
-            tied = np.flatnonzero(block_mins <= limit)
-            count = 0
-            best_index = None
-            for lo in range(0, tied.size, _CHUNK):
-                idx = tied[lo:lo + _CHUNK]
-                values = _block_values(prefixes[idx], const[idx], q_ps, suffixes, suffix_base)
-                rows, cols = np.nonzero(values <= limit)
-                count += rows.size
-                if best_index is None and rows.size:
-                    best_index = (int(idx[rows[0]]) << m) | int(cols[0])
-                # Let the chunk's values go before the next chunk's are made.
-                del values
+        # The tied blocks in prefix order, their rows evaluated again.
+        tied = np.flatnonzero(block_mins <= limit)
+        for lo in range(0, tied.size, _WALK_CHUNK):
+            evaluate(tied[lo:lo + _WALK_CHUNK], count_ties)
 
     best_x = np.concatenate([prefixes[best_index >> m], suffixes[best_index & (2 ** m - 1)]])
     return OracleResult(best_x=best_x, best_value=float(best), minimizer_count=int(count))

@@ -24,13 +24,11 @@ from math import inf, isfinite, nan
 
 import numpy as np
 
-from .model import (
-    BqpInstance,
-    Certificate,
-    DualState,
-    as_vector,
-    is_dual_feasible,
-)
+from .model import BqpInstance, Certificate, DualState, is_dual_feasible
+
+# The certificate tolerance of check_certificate, verify_certificate and
+# ``bqpbench verify --tol``.
+CERT_TOL = 1e-6
 
 
 @dataclass
@@ -63,7 +61,7 @@ def inertia_note(q: np.ndarray) -> str:
     return f"Q inertia: {neg} negative, {zero} zero, {pos} positive"
 
 
-def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6) -> VerifyReport:
+def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = CERT_TOL) -> VerifyReport:
     """The four certificate checks of ``(x, state.lam)``, for a length-n
     float vector ``x`` and a dual state from :func:`is_dual_feasible`
     (no factorization here).
@@ -73,25 +71,26 @@ def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6)
     (one that overflows fails); boolean_ok: every entry of ``x`` is exactly
     +/-1; gap_ok: the primal-dual gap ``f(x) - state.value`` is at most
     ``tol * (1 + |f(x)|)`` in magnitude.  One product ``Q x`` serves the
-    residual and f(x); the dual value is the one the state carries.
+    residual and f(x); the dual value is the one the state carries.  A
+    residual or an f(x) that overflows float64 warns nowhere: it fails its
+    check (an f(x) of +-inf gives a gap that is not finite).
     """
     if not 0 < tol < inf:
         raise ValueError("tol must be positive and finite")
     pd_ok = state.feasible
 
+    boolean_ok = bool((np.abs(x) == 1.0).all())
     with np.errstate(over="ignore", invalid="ignore"):
         qx = inst.q @ x
         residual = qx + state.lam * x - inst.c
+        primal = float(0.5 * (x @ qx) - inst.c @ x) if pd_ok and boolean_ok else nan
     stationary_ok = bool(np.abs(residual).max() <= tol * (1.0 + np.abs(inst.c).max()))
 
-    boolean_ok = bool((np.abs(x) == 1.0).all())
-
     if pd_ok and boolean_ok:
-        primal = float(0.5 * (x @ qx) - inst.c @ x)
         gap = primal - state.value
         gap_ok = bool(abs(gap) <= tol * (1.0 + abs(primal)))
     else:
-        primal, gap, gap_ok = nan, nan, False
+        gap, gap_ok = nan, False
 
     return VerifyReport(
         pd_ok=pd_ok, stationary_ok=stationary_ok, boolean_ok=boolean_ok, primal=primal,
@@ -99,12 +98,12 @@ def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = 1e-6)
     )
 
 
-def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = 1e-6) -> VerifyReport:
+def verify_certificate(inst: BqpInstance, cert: Certificate, tol: float = CERT_TOL) -> VerifyReport:
     """Check a certificate against its instance: one factorization of the
     shifted matrix (none when it is the instance's memoized dual point),
-    then :func:`check_certificate`."""
-    x = as_vector(cert.x, inst.n)
-    return check_certificate(inst, x, is_dual_feasible(inst, cert.lam), tol)
+    then :func:`check_certificate`.  :func:`is_dual_feasible` checks the
+    length of ``cert.lam``, and so of ``cert.x``, against ``inst.n``."""
+    return check_certificate(inst, cert.x, is_dual_feasible(inst, cert.lam), tol)
 
 
 def schur_block_psd(inst: BqpInstance, lam, t: float) -> tuple[bool, float]:
@@ -123,5 +122,6 @@ def schur_block_psd(inst: BqpInstance, lam, t: float) -> tuple[bool, float]:
     state = is_dual_feasible(inst, lam)
     if not state.feasible:
         return False, nan
-    schur = t - float(inst.c @ state.x_of_lambda)
+    with np.errstate(over="ignore", invalid="ignore"):
+        schur = t - float(inst.c @ state.x_of_lambda)
     return bool(schur >= -1e-8 * (1.0 + abs(t))), schur

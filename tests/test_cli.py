@@ -61,6 +61,16 @@ class TestGen:
         assert proc.stdout == ""
         assert not out.exists()
 
+    def test_overflowing_dual_value_fails_without_a_file(self, tmp_path):
+        # Q, lambda and c are finite, but the planted objective is not.
+        out = tmp_path / "a.bqp"
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "bqpbench", "gen", "-n", "100",
+                               "--base", "1e305", "-o", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "generation failed: the dual value overflows float64 at n=100, base=1e+305\n"
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_unallocatable_dimension_fails_without_a_file(self, tmp_path):
         # The n x n draw needs 71.1 PiB, more than the address space, so
         # numpy refuses it at once; no larger n may be tried here.
@@ -242,6 +252,19 @@ class TestVerify:
         fields = parsed_lines(proc.stdout)
         assert fields["overall"] == "false"
         assert fields["gap"] == "inf"
+
+    def test_overflowing_objective_under_warnings_as_errors(self, tmp_path):
+        # Positive definite, stationary and a sign vector, but f(x)
+        # overflows: verify and solve both exit 1 with nothing on stderr.
+        path = tmp_path / "overflow.bqp"
+        path.write_text("bqp 1\nn 2\nQ\n0 0\n0 0\nc\n1e308 1e308\nx\n1 1\nlambda\n1e308 1e308\n")
+        for command in ("verify", "solve"):
+            proc = subprocess.run([sys.executable, "-W", "error", "-m", "bqpbench", command, str(path)],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 1
+            assert proc.stderr == ""
+            if command == "verify":
+                assert parsed_lines(proc.stdout)["overall"] == "false"
 
     def test_tampered_certificate_fails(self, tmp_path):
         text = (FIXTURES / "example1.bqp").read_text()

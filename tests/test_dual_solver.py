@@ -596,3 +596,14 @@ def test_options_reject_non_integer_max_iter(value):
     # would run unbounded.
     with pytest.raises(ValueError, match="^max_iter must be an integer"):
         SolveOptions(max_iter=value)
+
+
+def test_overflowing_objective_reports_without_warning():
+    # The first primal try's lambda(x) = (1e308, 1e308) is positive
+    # definite and stationary, but f(x) overflows float64: the gap fails
+    # the check, so nothing is certified, and no warning escapes
+    # (warnings are errors here).
+    inst = BqpInstance(np.zeros((2, 2)), [1e308, 1e308])
+    report = solve_dual(inst)
+    assert report.status is SolveStatus.MAX_ITERATIONS
+    assert report.x is None

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 
 import numpy as np
@@ -174,6 +176,48 @@ def test_overflowing_base_fails_cleanly(n, base, name):
     message = f"{name} overflows float64 at n={n}, base={base!r}"
     with pytest.raises(GenerationFailed, match=f"^{re.escape(message)}$"):
         generate_instance(GenConfig(n=n, base=base))
+
+
+def test_overflowing_dual_value_fails_at_once(monkeypatch):
+    # Q, lam and c are finite at n = 100, base = 1e305, but sum(lam) and
+    # so the planted dual value overflow: no redraw can help.
+    import bqpbench.generator as gen
+
+    calls = []
+    real = gen.is_dual_feasible
+    monkeypatch.setattr(gen, "is_dual_feasible", lambda *a: calls.append(1) or real(*a))
+    message = "the dual value overflows float64 at n=100, base=1e+305"
+    with pytest.raises(GenerationFailed, match=f"^{re.escape(message)}$"):
+        generate_instance(GenConfig(n=100, base=1e305))
+    assert len(calls) == 1
+
+
+def test_largest_scale_still_certifies():
+    inst, cert = generate_instance(GenConfig(n=100, base=3e304))
+    report = verify_certificate(inst, cert)
+    assert report.overall and math.isfinite(report.primal)
+
+
+def test_failed_certificate_check_is_a_redraw(monkeypatch):
+    # A draw whose planted certificate fails check_certificate is drawn
+    # again from the next stream.
+    import bqpbench.generator as gen
+
+    real = gen.check_certificate
+    results = []
+
+    def fail_first(*args):
+        report = real(*args)
+        results.append(report.overall)
+        return dataclasses.replace(report, overall=False) if len(results) == 1 else report
+
+    monkeypatch.setattr(gen, "check_certificate", fail_first)
+    inst, cert = gen.generate_instance(GenConfig(n=4, seed=0))
+    assert results == [True, True]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0).spawn(2)[1]))
+    g = rng.standard_normal((4, 4))
+    np.testing.assert_array_equal(inst.q, gen.round_half_away(10.0 * (g + g.T) / 2.0))
+    np.testing.assert_array_equal(cert.x, 2.0 * rng.integers(0, 2, size=4) - 1.0)
 
 
 def test_planted_residual_is_exact_beyond_integer_precision():

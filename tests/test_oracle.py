@@ -222,8 +222,12 @@ def test_pruning_skips_most_blocks_of_a_planted_instance(evaluated_blocks):
     np.testing.assert_array_equal(result.best_x, cert.x)
     assert result.minimizer_count == 1
     assert len(set(evaluated_blocks)) < 0.05 * 4096
-    # The tied block's values are kept from the first pass, not evaluated again.
-    assert len(evaluated_blocks) == len(set(evaluated_blocks))
+    # The second pass values the tied block again, and only it: the
+    # minimizer's block is valued twice, the second time last.
+    planted = tuple(cert.x[:12])
+    assert [p for p in set(evaluated_blocks) if evaluated_blocks.count(p) > 1] == [planted]
+    assert evaluated_blocks.count(planted) == 2
+    assert evaluated_blocks[-1] == planted
 
 
 def test_all_ties_evaluate_every_block(evaluated_blocks):
@@ -252,8 +256,9 @@ def test_head_bound_prunes_the_pool(evaluated_values):
     # The 8 pool instances evaluate, over both passes, 659 whole blocks
     # with the L1 bound alone, 134 with the 6-bit head bound, and 58 with
     # the 9-bit screen and the kept tie rows (475,136 values); evaluating
-    # only the head rows whose bound is within the tie limit, 185,472
-    # values (1,449 head rows of 128).
+    # only the head rows whose bound is within the tie limit, and the tied
+    # ones again in the second pass, 188,928 values (1,449 head rows of
+    # 128 in the first pass and 27 in the second).
     for seed in POOL_SEEDS:
         brute_force_minimize(kind_b_instance(seed, 24))
     assert sum(evaluated_values) <= 190_000
@@ -313,12 +318,41 @@ def test_first_block_and_candidates_follow_the_full_stable_sort(head_bounded_blo
     assert np.unique(key[cand]).size < cand.size // 2
     assert linear or (key == key.min()).sum() > 1
 
+    # The tied blocks: those whose minimum is the least, exactly.
+    suffixes = oracle._suffix_table(oracle._BLOCK_BITS)
+    block_mins = const + (suffix_base + prefixes @ q_ps @ suffixes.T).min(axis=1)
+    tied = list(map(tuple, prefixes[block_mins == block_mins.min()]))
+
     brute_force_minimize(inst)
     assert head_bounded_blocks[0] == tuple(p)
-    # The candidates are walked in that order, the first chunk whole.
-    walked = head_bounded_blocks[1:]
+    # The candidates are walked in that order, the first chunk whole, and
+    # then the second pass bounds the tied blocks again, in prefix order.
+    walked = head_bounded_blocks[1:len(head_bounded_blocks) - len(tied)]
     assert min(cand.size, oracle._WALK_CHUNK) <= len(walked) <= cand.size
     assert walked == list(map(tuple, prefixes[cand[:len(walked)]]))
+    assert head_bounded_blocks[len(head_bounded_blocks) - len(tied):] == tied
+
+
+def test_free_coordinates_tie_every_head_row():
+    # The first 13 of n = 20 coordinates are free (zero rows and columns of
+    # Q, zero entries of c): they are the 7 prefix bits and the 6 head
+    # bits, so all 128 x 64 head rows tie, and the second pass evaluates
+    # every one of them again.
+    rng = np.random.default_rng(13)
+    a = rng.integers(-2, 3, size=(7, 7)).astype(float)
+    small = BqpInstance(np.triu(a) + np.triu(a, 1).T, rng.integers(-2, 3, 7).astype(float))
+    q = np.zeros((20, 20))
+    q[13:, 13:] = small.q
+    inst = BqpInstance(q, np.concatenate([np.zeros(13), small.c]))
+    expected = brute_force_minimize(small)
+    result = brute_force_minimize(inst)
+    assert result.minimizer_count == 2 ** 13 * expected.minimizer_count
+    assert np.float64(result.best_value).tobytes() == np.float64(expected.best_value).tobytes()
+    assert result.best_x.tobytes() == np.concatenate([-np.ones(13), expected.best_x]).tobytes()
+    ref_x, ref_value, ref_count = full_scan_reference(inst)
+    assert result.best_x.tobytes() == ref_x.tobytes()
+    assert np.float64(result.best_value).tobytes() == np.float64(ref_value).tobytes()
+    assert result.minimizer_count == ref_count
 
 
 def test_exact_ties_on_integral_data():

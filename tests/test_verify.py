@@ -25,6 +25,11 @@ from bqpbench import (
 from bqpbench.verify import check_certificate, inertia_note
 
 
+# Q = 0, c = (1e308, 1e308) with the certificate x = (1, 1), lam = c.
+OVERFLOWING_OBJECTIVE = ("bqp 1\nn 2\nQ\n0 0\n0 0\nc\n1e308 1e308\n"
+                         "x\n1 1\nlambda\n1e308 1e308\n")
+
+
 @pytest.fixture
 def example1():
     return BqpInstance(gold.Q1, gold.C1)
@@ -155,6 +160,18 @@ class TestCheckCertificate:
         assert report.pd_ok and report.boolean_ok and not report.overall
         assert report.gap == math.inf
         assert state.feasible and state.value == -math.inf
+
+    def test_overflowing_objective_fails_the_gap_without_warning(self):
+        # Positive definite, stationary and a sign vector, but f(x) =
+        # -c'x overflows float64, and so does c'x(lam) in the Schur check:
+        # the gap fails, with no warning (warnings are errors here).
+        f = parse_instance(OVERFLOWING_OBJECTIVE)
+        report = verify_certificate(f.instance, f.certificate)
+        assert report.pd_ok and report.stationary_ok and report.boolean_ok
+        assert report.primal == -math.inf and math.isnan(report.gap)
+        assert not report.gap_ok and not report.overall
+        is_psd, schur = schur_block_psd(f.instance, f.certificate.lam, 0.0)
+        assert is_psd is False and schur == -math.inf
 
 
 class TestDualityGap:
