@@ -80,17 +80,16 @@ def check_certificate(inst: BqpInstance, x, state: DualState, tol: float = CERT_
     pd_ok = state.feasible
 
     boolean_ok = bool((np.abs(x) == 1.0).all())
+
+    primal, gap, gap_ok = nan, nan, False
     with np.errstate(over="ignore", invalid="ignore"):
         qx = inst.q @ x
         residual = qx + state.lam * x - inst.c
-        primal = float(0.5 * (x @ qx) - inst.c @ x) if pd_ok and boolean_ok else nan
+        if pd_ok and boolean_ok:
+            primal = float(0.5 * (x @ qx) - inst.c @ x)
+            gap = primal - state.value
+            gap_ok = bool(abs(gap) <= tol * (1.0 + abs(primal)))
     stationary_ok = bool(np.abs(residual).max() <= tol * (1.0 + np.abs(inst.c).max()))
-
-    if pd_ok and boolean_ok:
-        gap = primal - state.value
-        gap_ok = bool(abs(gap) <= tol * (1.0 + abs(primal)))
-    else:
-        gap, gap_ok = nan, False
 
     return VerifyReport(
         pd_ok=pd_ok, stationary_ok=stationary_ok, boolean_ok=boolean_ok, primal=primal,
@@ -116,6 +115,8 @@ def schur_block_psd(inst: BqpInstance, lam, t: float) -> tuple[bool, float]:
     memoized dual point) gives ``x(lam)``; the block is never formed.
     A shift that fails ``spd_factorize``'s pivot rule gives ``(False,
     nan)``: a certificate needs PD, so a singular PSD shift is not PSD here.
+    A ``c'x(lam)`` that overflows float64 gives a schur of -inf or NaN, not
+    PSD, and no warning.
     """
     if not isfinite(t):
         raise ValueError("t must be finite")
