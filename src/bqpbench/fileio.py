@@ -28,6 +28,12 @@ Parsing is strict: unknown sections, dimension mismatches, asymmetric
 matrices, and non-sign certificate entries are all rejected with the
 offending line number.  A file that ends before the data its ``n``
 declares is rejected as an unexpected end of file at its last line.
+
+The reader is one cursor over the content lines, comments and blank
+lines dropped, which checks each line's separators as it takes it, so
+errors are found line by line in file order.  A row of numbers is
+converted in bulk, with a per-token fallback that names the first bad
+token, and ``Q`` is built only from rows that parsed.
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ from .model import BqpInstance, Certificate, require_count
 
 FORMAT_VERSION = 1
 BENCH_CSV_HEADER = "n,seed,gen_ms,solve_ms,iters,gap,certified"
-# Whitespace that ``str.split()`` would treat as a separator, other than space and tab.
+# Whitespace that ``str.split()`` would treat as a separator, other than space and
+# tab: the one statement of the separator rule, which the parser applies to every
+# content line and the serializer to every metadata value.
 _OTHER_SPACE = re.compile(r"[^\S \t]")
-_ASCII_OTHER_SPACE = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 class ParseError(Exception):
@@ -145,7 +152,8 @@ def serialize_instance(f: InstanceFile) -> str:
 
 
 class _Cursor:
-    """Comment- and blank-stripped lines with their original numbers."""
+    """Comment- and blank-stripped lines with their original numbers, taken
+    in file order; each line is checked for its separators as it is taken."""
 
     def __init__(self, text: str):
         self.rows = []
@@ -157,48 +165,52 @@ class _Cursor:
                 self.rows.append((number, content))
         self.pos = 0
         self.last_line = self.rows[-1][0] if self.rows else 1
-        # Only a text holding a separator other than space, tab or CRLF needs
-        # the per-line scan in ``take``; these whole-text tests run in C.
-        self.scan = (
-            not text.isascii()
-            or ("\r" in text and text.count("\r") != text.count("\r\n"))
-            or any(ch in text for ch in _ASCII_OTHER_SPACE)
-        )
 
-    def peek(self):
-        return self.rows[self.pos] if self.pos < len(self.rows) else None
+    def peek(self) -> str | None:
+        """The content of the next line, or None at the end of the text."""
+        return self.rows[self.pos][1] if self.pos < len(self.rows) else None
 
-    def take(self, what: str):
-        row = self.peek()
-        if row is None:
+    def take(self, what: str) -> tuple[int, str]:
+        """The next line's number and content; ``what`` names it if the text
+        has ended."""
+        if self.peek() is None:
             raise ParseError(self.last_line, f"unexpected end of file, expected {what}")
+        line, content = self.rows[self.pos]
         self.pos += 1
-        other = self.scan and _OTHER_SPACE.search(row[1])
+        other = _OTHER_SPACE.search(content)
         if other:
-            raise ParseError(row[0], f"separator {other.group()!r} is not a space or tab")
-        return row
+            raise ParseError(line, f"separator {other.group()!r} is not a space or tab")
+        return line, content
 
+    def section(self, name: str) -> None:
+        """The header line of section ``name``."""
+        line, content = self.take(f"section '{name}'")
+        if content != name:
+            raise ParseError(line, f"expected section '{name}'")
 
-def _parse_floats(line: int, content: str, n: int, what: str) -> np.ndarray:
-    tokens = content.split()
-    if len(tokens) != n:
-        raise ParseError(line, f"expected {n} values in {what} row, got {len(tokens)}")
-    # Fast path: the whole row in one C-level conversion.  ``float`` also
-    # reads ``1_0`` and non-ASCII digits, which the format does not allow, so
-    # such rows, and rows that fail, go through ``read_number`` token by token
-    # to name the first bad one.
-    if content.isascii() and "_" not in content:
+    def numbers(self, n: int, name: str, what: str) -> tuple[int, np.ndarray]:
+        """The next line's number and its ``n`` values, a row of section
+        ``name``; ``what`` names the line if the text has ended."""
+        line, content = self.take(what)
+        tokens = content.split()
+        if len(tokens) != n:
+            raise ParseError(line, f"expected {n} values in {name} row, got {len(tokens)}")
+        # Fast path: the whole row in one C-level conversion.  ``float`` also
+        # reads ``1_0`` and non-ASCII digits, which the format does not allow,
+        # so such rows, and rows that fail, go through ``read_number`` token by
+        # token to name the first bad one.
+        if content.isascii() and "_" not in content:
+            try:
+                values = np.fromiter(map(float, tokens), float, n)
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(values).all():
+                    return line, values
         try:
-            values = np.fromiter(map(float, tokens), float, n)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values
-    try:
-        return np.fromiter(map(read_number, tokens), float, n)
-    except ValueError as exc:
-        raise ParseError(line, str(exc)) from None
+            return line, np.fromiter(map(read_number, tokens), float, n)
+        except ValueError as exc:
+            raise ParseError(line, str(exc)) from None
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -221,45 +233,29 @@ def parse_instance(text: str) -> InstanceFile:
     if n < 1:
         raise ParseError(line, "expected 'n <positive integer>'")
 
-    line, content = cur.take("section 'Q'")
-    if content != "Q":
-        raise ParseError(line, "expected section 'Q'")
+    cur.section("Q")
     # Build Q only from rows that parsed, each checked to hold n values, so
     # its storage never exceeds what the text itself contains.
-    q_rows = []
-    q_lines = []
-    for i in range(n):
-        line, content = cur.take(f"row {i + 1} of Q")
-        q_rows.append(_parse_floats(line, content, n, "Q"))
-        q_lines.append(line)
+    q_lines, q_rows = zip(*(cur.numbers(n, "Q", f"row {i + 1} of Q") for i in range(n)))
     q = np.array(q_rows)
     mismatches = np.argwhere(q != q.T)
     if mismatches.size:
         i, j = (int(v) for v in mismatches[0])
-        row = max(i, j)
-        raise ParseError(q_lines[row], f"asymmetric: Q[{i}][{j}] != Q[{j}][{i}]")
+        raise ParseError(q_lines[max(i, j)], f"asymmetric: Q[{i}][{j}] != Q[{j}][{i}]")
 
-    line, content = cur.take("section 'c'")
-    if content != "c":
-        raise ParseError(line, "expected section 'c'")
-    line, content = cur.take("row of c")
-    c = _parse_floats(line, content, n, "c")
+    cur.section("c")
+    _, c = cur.numbers(n, "c", "row of c")
 
-    x = None
-    lam = None
-    row = cur.peek()
-    if row is not None and row[1] == "x":
-        cur.take("section 'x'")
-        line, content = cur.take("row of x")
-        x = _parse_floats(line, content, n, "x")
+    x = lam = None
+    if cur.peek() == "x":
+        cur.section("x")
+        line, x = cur.numbers(n, "x", "row of x")
         for value in x:
             if value not in (-1.0, 1.0):
                 raise ParseError(line, f"certificate entry {format_number(value)} is not -1 or 1")
-    row = cur.peek()
-    if row is not None and row[1] == "lambda":
-        cur.take("section 'lambda'")
-        line, content = cur.take("row of lambda")
-        lam = _parse_floats(line, content, n, "lambda")
+    if cur.peek() == "lambda":
+        cur.section("lambda")
+        _, lam = cur.numbers(n, "lambda", "row of lambda")
     if (x is None) != (lam is None):
         missing = "lambda" if lam is None else "x"
         raise ParseError(cur.last_line, f"incomplete certificate: section '{missing}' is missing")

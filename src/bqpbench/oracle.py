@@ -36,8 +36,8 @@ row,
 
     heads[p, u] + B(u) - ||w_v(p)||_1,   B(u) = min_v base(u, v),
 
-is the L1 bound made exact over the head bits, so never below it; it
-costs two small sums beyond H.
+is the L1 bound made exact over the head bits, so never below it.  B(u)
+is formed once per call, so a row bound costs two small sums beyond H.
 
 A first pass evaluates every head row of the block of lowest L1 bound.
 The candidates are the other blocks whose L1 bound, less a rounding
@@ -179,18 +179,18 @@ def _tolerances(q, c):
     return _TIE_REL, _SLACK_REL * (1.0 + 2.0 * (abs_q + abs_c))
 
 
-def _head_rows(p, const, q_ps, suffixes, base):
+def _head_rows(p, const, q_ps, suffixes, floors):
     """The head rows of the blocks with prefixes ``p`` (one per row) and
     prefix costs ``const``: ``heads``, ``tails`` and the rows' bounds.
 
-    ``base`` is the suffix cost table as one row per head u, the first t
-    suffix bits: ``base[u, v] = base(u, v)``, v the other r bits.  With
-    w(p) = Q_ps' p split alike into w_u and w_v,
+    ``floors`` holds B(u) = min_v base(u, v), the least suffix cost of each
+    head u, the first t suffix bits, v the other r bits; its length gives
+    t.  With w(p) = Q_ps' p split alike into w_u and w_v,
 
         heads[p, u] = const(p) + w_u(p)'u,   tails[p, v] = w_v(p)'v,
 
     and the bound of head row (p, u), at most each of its values, is
-    ``heads[p, u] + min_v base(u, v) - ||w_v(p)||_1``.  The sign tables of
+    ``heads[p, u] + B(u) - ||w_v(p)||_1``.  The sign tables of
     the heads and of the tails are views of ``suffixes``: its rows 0, 2^r,
     2 * 2^r, ... hold the heads in order and its first 2^r rows the tails.
 
@@ -201,14 +201,14 @@ def _head_rows(p, const, q_ps, suffixes, base):
     blocks = len(p)
     if blocks == 1:
         p, const = np.repeat(p, 2, axis=0), np.repeat(const, 2)
-    head_bits = base.shape[0].bit_length() - 1
-    width = base.shape[1]
+    head_bits = floors.shape[0].bit_length() - 1
+    width = suffixes.shape[0] // floors.shape[0]
     w = p @ q_ps
     heads = w[:, :head_bits] @ suffixes[::width, :head_bits].T
     heads += const[:, None]
     tails = w[:, head_bits:] @ suffixes[:width, head_bits:].T
     heads, tails = heads[:blocks], tails[:blocks]
-    bounds = heads + np.minimum.reduce(base, axis=1)
+    bounds = heads + floors
     bounds -= np.add.reduce(np.abs(w[:blocks, head_bits:]), axis=1)[:, None]
     return heads, tails, bounds
 
@@ -236,7 +236,7 @@ def _block_values(p, const, q_ps, suffixes, suffix_base) -> np.ndarray:
     bit.
     """
     base = suffix_base.reshape(2 ** min(_HEAD_BITS, suffixes.shape[1]), -1)
-    heads, tails, _ = _head_rows(p, const, q_ps, suffixes, base)
+    heads, tails, _ = _head_rows(p, const, q_ps, suffixes, np.minimum.reduce(base, axis=1))
     rows, cols = np.divmod(np.arange(heads.size), heads.shape[1])
     return _row_values(heads, tails, base, rows, cols).reshape(len(p), -1)
 
@@ -334,8 +334,9 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = MAX_N) -> OracleResult:
             raise TooLarge(f"cannot allocate the sign tables at n={n}") from exc
         tie_rel, slack = _tolerances(q, c)
         head_bits = min(_HEAD_BITS, m)
-        # base(u, v) by head row.
+        # base(u, v) by head row, and B(u), formed once per call.
         base = suffix_base.reshape(2 ** head_bits, -1)
+        floors = np.minimum.reduce(base, axis=1)
         # The L1 bounds less the slack; an infinite slack skips nothing,
         # whatever the bound (even NaN).
         if np.isfinite(slack):
@@ -354,7 +355,7 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = MAX_N) -> OracleResult:
             blocks ``idx`` whose bound is not above the tie limit plus the
             slack, in row-major order, _SLICE_ROWS at a time; the limit is
             read again before each slice."""
-            heads, tails, bounds = _head_rows(prefixes[idx], const[idx], q_ps, suffixes, base)
+            heads, tails, bounds = _head_rows(prefixes[idx], const[idx], q_ps, suffixes, floors)
             all_rows, all_cols = np.nonzero(~(bounds > limit + slack))
             for lo in range(0, all_rows.size, _SLICE_ROWS):
                 rows, cols = all_rows[lo:lo + _SLICE_ROWS], all_cols[lo:lo + _SLICE_ROWS]

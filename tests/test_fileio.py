@@ -179,6 +179,17 @@ class TestParseErrors:
         assert exc.value.line == line
         assert "is not a space or tab" in exc.value.reason
 
+    @pytest.mark.parametrize("text,line,reason", [
+        # The count error on line 4 comes before the U+00A0 on line 5.
+        ("bqp 1\nn 2\nQ\n1 0 0\n0\u00a01\nc\n1 1\n", 4, "expected 2 values in Q row, got 3"),
+        # The separator on line 4 comes before the bad token on line 5.
+        ("bqp 1\nn 2\nQ\n2\u00a00\n0 x\nc\n1 1\n", 4, "separator '\\xa0' is not a space or tab"),
+    ])
+    def test_errors_are_found_line_by_line_in_file_order(self, text, line, reason):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert (exc.value.line, exc.value.reason) == (line, reason)
+
     def test_non_finite_rejected(self):
         text = "bqp 1\nn 1\nQ\ninf\nc\n1\n"
         with pytest.raises(ParseError):

@@ -75,7 +75,7 @@ def test_head_bound_is_below_every_block_minimum(inst, bits, quantile):
     cut = np.quantile(row_mins, quantile)
     _, slack = oracle._tolerances(q, c)
     base = suffix_base.reshape(2 ** bits, -1)
-    head_values, tails, bounds = oracle._head_rows(prefixes, const, q_ps, oracle._suffix_table(m), base)
+    head_values, tails, bounds = oracle._head_rows(prefixes, const, q_ps, oracle._suffix_table(m), base.min(axis=1))
     l1 = const + suffix_base.min() - np.abs(prefixes @ q_ps).sum(axis=1)
     assert (bounds - slack <= row_mins).all()
     assert (bounds + slack >= l1[:, None]).all()
