@@ -3,8 +3,10 @@
 Instances are built inside out: draw a random symmetric integer matrix,
 pick multipliers as the absolute row sums (diagonal included) so the
 shifted matrix is diagonally dominant, draw a random sign vector, and set
-the linear term to ``Qx + lam * x``.  :func:`model.is_dual_feasible`
-confirms the shift positive definite and memoizes ``x(lam)``, and
+the linear term to ``Qx + lam * x``.  The shift is then proven positive
+definite from that construction, with no factorization, wherever the
+proof applies (see :func:`_proven_state`), and :func:`model.is_dual_feasible`
+decides it by Cholesky, memoizing ``x(lam)``, everywhere else.
 :func:`verify.check_certificate`, the rule the solver and ``verify`` use,
 accepts the planted pair ``(x, lam)`` on that state, so ``x`` is the
 unique global minimizer and every instance ships with a certificate that
@@ -23,10 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BqpInstance, Certificate, is_dual_feasible, require_count
+from .model import (
+    BqpInstance,
+    Certificate,
+    DualState,
+    _feasible_state,
+    is_dual_feasible,
+    require_count,
+)
 from .verify import check_certificate
 
 _MAX_REDRAWS = 100
+# Multipliers below this keep every sum of the construction an exact
+# float64 integer (see _proven_state).
+_EXACT_LIMIT = 2.0 ** 52
 
 
 class GenerationFailed(Exception):
@@ -84,6 +96,45 @@ def _finite(cfg: GenConfig, name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _proven_state(inst: BqpInstance, x: np.ndarray, lam: np.ndarray, shift: float) -> DualState | None:
+    """The planted dual state where the shift is proven positive definite,
+    else None (undecided); ``lam`` is the absolute row sums of ``inst.q``
+    plus the integer ``shift`` (margin and bump), and ``inst.c`` is
+    ``Qx + lam * x``.
+
+    With ``max(lam) < 2**52`` every sum of the construction is an exact
+    float64 integer, so ``A = Q + diag(lam)`` has the slack
+    ``a_ii - sum_{j != i} |q_ij| = q_ii + |q_ii| + shift >= 0`` in each row
+    exactly: ``A`` is symmetric, weakly diagonally dominant and has a
+    nonnegative diagonal, hence positive semidefinite, and row ``i`` is
+    strictly dominant iff ``q_ii > 0`` or ``shift > 0``.  A weakly chained
+    diagonally dominant matrix, one whose every weak row reaches a strict
+    row along nonzero entries, is nonsingular (Shivakumar and Chew, Proc.
+    AMS 43, 1974; Taussky's irreducible case, Amer. Math. Monthly 56,
+    1949), so a multi-source search from the strict rows over ``q != 0``
+    that reaches every row proves ``A`` nonsingular and, being positive
+    semidefinite, positive definite.  ``c`` is exact
+    too, so ``A x = c`` holds exactly and ``x(lam)`` is ``x`` itself; the
+    state takes the dual value from it as :func:`is_dual_feasible` does,
+    is memoized on ``inst``, and keeps ``lam`` and ``x`` read-only.  Runs
+    under the caller's ``np.errstate``, which must ignore overflow and
+    invalid results.
+    """
+    if not np.maximum.reduce(lam) < _EXACT_LIMIT:
+        return None
+    q = inst.q
+    reached = (q.diagonal() > 0) | (shift > 0)
+    frontier = reached
+    while frontier.any():
+        # The rows next to the frontier: Q is symmetric, so they are the
+        # columns in which the frontier's rows hold a nonzero.
+        frontier = (q[frontier] != 0).any(axis=0) & ~reached
+        reached |= frontier
+    if not reached.all():
+        return None
+    return _feasible_state(inst, lam, x)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     """Generate one instance together with its planted certificate.
@@ -94,11 +145,15 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
     ``Q = round(base * (G + G') / 2)`` (halves away from zero) and a
     uniform random sign vector, and takes the multipliers as the absolute
     row sums of ``Q`` (diagonal included) plus the margin.  That shift is
-    diagonally dominant, but only weakly where a diagonal entry is
-    negative, so each attempt sets ``c = Qx + lam * x``, tests the shift
-    with :func:`model.is_dual_feasible` and, where it is positive
-    definite, checks the planted certificate on that state with
-    :func:`verify.check_certificate` (no factorization): if either fails,
+    diagonally dominant, but only weakly where a diagonal entry is not
+    positive, so each attempt sets ``c = Qx + lam * x`` and decides the
+    shift: :func:`_proven_state` proves it positive definite by chained
+    diagonal dominance, with no factorization, and a draw it leaves
+    undecided (multipliers of 2**52 or more, a weak row with no nonzero
+    path to a strict one) is tested with :func:`model.is_dual_feasible`.
+    Where the shift is positive definite, the planted certificate is
+    checked on that state with :func:`verify.check_certificate` (no
+    factorization): if either fails,
     the next attempt spawns the next stream, and after 100 redraws one
     last attempt repeats the final draw with every multiplier bumped by
     1, which makes the integer shift strictly dominant.  The returned
@@ -127,7 +182,9 @@ def generate_instance(cfg: GenConfig) -> tuple[BqpInstance, Certificate]:
         lam = _finite(cfg, "lambda", np.abs(q).sum(axis=1) + margin + bump)
         inst = BqpInstance(q, _finite(cfg, "c", q @ x + lam * x))
         del q  # the instance holds its own copy
-        state = is_dual_feasible(inst, lam)
+        state = _proven_state(inst, x, lam, margin + bump)
+        if state is None:
+            state = is_dual_feasible(inst, lam)
         if state.feasible:
             # A redraw at the same scale would overflow too.
             _finite(cfg, "the dual value", state.value)

@@ -10,16 +10,22 @@ dual point keeps only ``lam``, the solved ``x(lam)`` and the dual value
 read off it, and nothing evaluates the dual apart from that point.
 Each instance memoizes its last feasible dual state, so a multiplier
 point that the generator, the solver, ``verify`` and the Schur check all
-ask about is factorized once.  The explicit Hessian factorizes again and costs n more
-solves; it is a reference for the solver's Newton step.
+ask about is factorized at most once.  The explicit Hessian factorizes
+again and costs n more solves; it is a reference for the solver's Newton
+step.
 
 A dual state is built by one of two entries with the same results.
 :func:`is_dual_feasible` validates ``lam`` and factorizes through
-:func:`numerics.spd_factorize`; the generator, ``verify``, the Schur
-check, the solver's start point and its primal tries use it.  The
-solver's line search, which forms each trial ``lam`` itself, uses the
-private ``_trial_state``, which validates nothing again and factorizes
-through the Cholesky kernel directly.
+:func:`numerics.spd_factorize`; ``verify``, the Schur check, the
+solver's start point and its primal tries use it, and so does the
+generator on a draw whose shift its dominance proof leaves undecided.
+The solver's line search, which forms each trial ``lam`` itself, uses
+the private ``_trial_state``, which validates nothing again and
+factorizes through the Cholesky kernel directly.  Both end in the
+private ``_feasible_state``, which takes the dual value at the solved
+``x(lam)`` and memoizes the state; the generator calls it directly for
+a shift it has proven positive definite, where ``x(lam)`` is the
+planted ``x`` exactly, so its planted point is factorized not at all.
 """
 
 from __future__ import annotations
@@ -216,7 +222,7 @@ def is_dual_feasible(inst: BqpInstance, lam) -> DualState:
     except (FloatingPointError, NotPositiveDefinite):
         return DualState(lam=lam, q=inst.q, x_of_lambda=None)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _feasible_state(inst, lam.copy(), factor)
+        return _feasible_state(inst, lam.copy(), spd_solve(factor, inst.c))
 
 
 def _trial_state(inst: BqpInstance, lam: np.ndarray) -> DualState:
@@ -238,7 +244,7 @@ def _trial_state(inst: BqpInstance, lam: np.ndarray) -> DualState:
     factor = _cholesky(_shifted(inst, lam))
     if factor is None:
         return DualState(lam=lam, q=inst.q, x_of_lambda=None)
-    return _feasible_state(inst, lam, factor)
+    return _feasible_state(inst, lam, spd_solve(factor, inst.c))
 
 
 def _shifted(inst: BqpInstance, lam: np.ndarray) -> np.ndarray:
@@ -260,11 +266,10 @@ def _memo_hit(inst: BqpInstance, lam: np.ndarray) -> DualState | None:
     return None
 
 
-def _feasible_state(inst: BqpInstance, lam: np.ndarray, factor: np.ndarray) -> DualState:
-    """Solve ``x(lam)`` through ``factor``, take the dual value and memoize
-    the state; ``lam`` becomes the state's own.  Runs under the caller's
+def _feasible_state(inst: BqpInstance, lam: np.ndarray, x: np.ndarray) -> DualState:
+    """Take the dual value at ``x = x(lam)`` and memoize the state; ``lam``
+    and ``x`` become the state's own.  Runs under the caller's
     ``np.errstate``, which must ignore overflow and invalid results."""
-    x = spd_solve(factor, inst.c)
     for owned in (lam, x):
         owned.flags.writeable = False
     value = float(-0.5 * (inst.c @ x) - 0.5 * np.add.reduce(lam))

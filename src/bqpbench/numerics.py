@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra kernel.
 
 The rest of the package does its factorizations and solves here:
-Cholesky factorization as the only positive-definiteness witness (one
-LAPACK ``dpotrf`` call, which returns the lower factor as a plain array
-or rejects the matrix), solves against that factor (one LAPACK
+Cholesky factorization as the only numerical positive-definiteness
+witness (one LAPACK ``dpotrf`` call, which returns the lower factor as a
+plain array or rejects the matrix; the generator proves most of its
+shifts positive definite exactly, from diagonal dominance), solves against that factor (one LAPACK
 ``dpotrs`` call), and the smallest eigenvalue of a symmetric matrix (one
 dense ``eigvalsh``).  Matrix-vector products stay with their callers, and
 ``verify.inertia_note``, an informational line of the CLI's ``verify``

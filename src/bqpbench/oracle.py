@@ -76,8 +76,6 @@ from .model import BqpInstance
 MAX_N = 25
 
 _BLOCK_BITS = 13
-# Blocks per product of the reference scan (_block_values).
-_CHUNK = 8
 # Suffix bits of a head row: a row holds the 2^(13 - 6) = 128 values that
 # share a prefix and the first 6 suffix bits.
 _HEAD_BITS = 6
@@ -225,22 +223,6 @@ def _row_values(heads, tails, base, rows, cols) -> np.ndarray:
     return values
 
 
-def _block_values(p, const, q_ps, suffixes, suffix_base) -> np.ndarray:
-    """Objective values of the blocks with prefixes ``p`` (one per row) and
-    prefix costs ``const``: one row per block, in suffix order.
-
-    The reference scan of float data: :func:`_row_values` over every head
-    row, the sums :func:`brute_force_minimize` forms, with no row skipped.
-    The oracle does not call it; ``tests/test_oracle_float_property.py``
-    scans every block with it and compares the oracle's result, bit for
-    bit.
-    """
-    base = suffix_base.reshape(2 ** min(_HEAD_BITS, suffixes.shape[1]), -1)
-    heads, tails, _ = _head_rows(p, const, q_ps, suffixes, np.minimum.reduce(base, axis=1))
-    rows, cols = np.divmod(np.arange(heads.size), heads.shape[1])
-    return _row_values(heads, tails, base, rows, cols).reshape(len(p), -1)
-
-
 def brute_force_minimize(inst: BqpInstance, max_n: int = MAX_N) -> OracleResult:
     """Return the global minimum over all 2^n sign vectors.
 
@@ -290,8 +272,8 @@ def brute_force_minimize(inst: BqpInstance, max_n: int = MAX_N) -> OracleResult:
 
     On other data the results are those of a scan of every block through
     the same kernel, the cost tables of :func:`_costs` included, in chunks
-    of any size (:func:`_block_values`), wherever a row of a gemm product
-    does not depend on the rows beside it (OpenBLAS's does not;
+    of any size, wherever a row of a gemm product does not depend on the
+    rows beside it (OpenBLAS's does not;
     ``tests/test_oracle_float_property.py`` checks it); a single block is
     evaluated as two rows to stay on gemm.  The slack is then ``1e-12 *
     (1 + 2S)`` with ``S = sum|Q_ij| + sum|c_i|``.  Every partial sum formed

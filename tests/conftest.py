@@ -28,8 +28,9 @@ def spectral_instance(n, seed, margin=1.0):
 @pytest.fixture
 def factorizations(monkeypatch):
     """Every factorization the model makes: is_dual_feasible's through
-    spd_factorize (the generator's go through it too) and the solver
-    trials' through the Cholesky kernel itself."""
+    spd_factorize (the generator's go through it too where its dominance
+    proof leaves a draw undecided) and the solver trials' through the
+    Cholesky kernel itself."""
     import bqpbench.model
 
     calls = []

@@ -285,8 +285,10 @@ class TestCertification:
 
     def test_rounding_gives_exact_signs(self):
         # x(lam) is near, not at, the signs; the reported x is exactly them.
+        # Solved from a fresh instance: the returned one holds the planted
+        # state, whose x(lam) is exactly x.
         inst, cert = generate_instance(GenConfig(n=40, seed=4))
-        report = solve_dual(inst)
+        report = solve_dual(BqpInstance(inst.q, inst.c))
         assert report.status is SolveStatus.CERTIFIED
         assert not (np.abs(report.x_raw) == 1.0).all()
         np.testing.assert_array_equal(report.x, np.sign(report.x_raw))

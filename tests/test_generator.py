@@ -125,10 +125,13 @@ class TestGenerateInstance:
 
 
 class TestRetryPolicy:
+    # Every draw is left undecided by the dominance proof, so each one
+    # reaches the patched factorization.
     def test_margin_bump_after_exhausted_redraws(self, monkeypatch):
         import bqpbench.generator as gen
         import bqpbench.model as model
 
+        monkeypatch.setattr(gen, "_proven_state", lambda *args: None)
         real = model.spd_factorize
         calls = {"n": 0}
 
@@ -157,6 +160,7 @@ class TestRetryPolicy:
         def hopeless(a, **kw):
             raise NotPositiveDefinite(0)
 
+        monkeypatch.setattr(gen, "_proven_state", lambda *args: None)
         monkeypatch.setattr(model, "spd_factorize", hopeless)
         with pytest.raises(GenerationFailed):
             gen.generate_instance(GenConfig(n=3, seed=0))
@@ -248,3 +252,72 @@ def test_unallocatable_dimension_fails_cleanly():
     # touching memory; never try a size the machine could start to allocate.
     with pytest.raises(GenerationFailed, match=r"n=100000000\b"):
         generate_instance(GenConfig(n=10**8))
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """How each attempt's shift is decided: "proven" by the dominance
+    proof, else "pd" or "not pd" by the factorization it falls back to."""
+    import bqpbench.generator as gen
+
+    verdicts = []
+    real_proof, real_fallback = gen._proven_state, gen.is_dual_feasible
+
+    def proof(*args):
+        state = real_proof(*args)
+        if state is not None:
+            verdicts.append("proven")
+        return state
+
+    def fallback(inst, lam):
+        state = real_fallback(inst, lam)
+        verdicts.append("pd" if state.feasible else "not pd")
+        return state
+
+    monkeypatch.setattr(gen, "_proven_state", proof)
+    monkeypatch.setattr(gen, "is_dual_feasible", fallback)
+    return verdicts
+
+
+def generated_by_factorization(cfg):
+    """The instance and certificate when every attempt is decided by
+    is_dual_feasible: the result the dominance proof must not change."""
+    import bqpbench.generator as gen
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gen, "_proven_state", lambda *args: None)
+        return gen.generate_instance(cfg)
+
+
+@pytest.mark.parametrize("cfg,verdicts", [
+    # n = 1 with q <= 0: no strict row, and the shift q + |q| is 0.
+    (GenConfig(n=1, seed=1, base=1.0), ["not pd", "proven"]),
+    # No positive diagonal entry, so no strict row; yet positive definite.
+    (GenConfig(n=5, seed=16, base=1.0), ["pd"]),
+    # A reducible shift: row 1 is the only strict row, and no nonzero
+    # entry joins it to the weak rows 0, 2, 3 and 4.
+    (GenConfig(n=5, seed=99, base=1.0), ["pd"]),
+    # A weak row with no path to the strict one, and singular.
+    (GenConfig(n=2, seed=0, base=1.0), ["not pd", "proven"]),
+    # Multipliers of 2**52 or more, where the sums may round.
+    (GenConfig(n=40, base=1e15), ["pd"]),
+])
+def test_undecided_draws_fall_back_to_the_factorization(decisions, cfg, verdicts):
+    expected = generated_by_factorization(cfg)
+    decisions.clear()
+    inst, cert = generate_instance(cfg)
+    assert decisions == verdicts
+    assert (inst, cert) == expected
+    assert verify_certificate(inst, cert).overall
+
+
+def test_proven_state_is_the_planted_point_exactly(decisions):
+    # (Q + diag(lam)) x = c holds exactly, so x(lam) is x and the dual
+    # value is f(x), both with no solve.
+    inst, cert = generate_instance(GenConfig(n=50, seed=5))
+    assert decisions == ["proven"]
+    state = is_dual_feasible(inst, cert.lam)  # the memo
+    assert state.x_of_lambda.tobytes() == cert.x.tobytes()
+    value = -0.5 * (inst.c @ cert.x) - 0.5 * np.add.reduce(cert.lam)
+    assert np.float64(state.value).tobytes() == np.float64(value).tobytes()
+    assert state.value == objective_value(inst, cert.x)

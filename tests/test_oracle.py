@@ -158,8 +158,8 @@ def test_pruned_result_is_the_full_scan_bitwise(seed):
 
 
 def spy_on_the_kernel(monkeypatch, bounded=None, valued=None):
-    """Spy on the head-row kernel, which both passes use (_block_values
-    too): ``bounded(p)`` for each call of _head_rows, the bounds of the
+    """Spy on the head-row kernel, which both passes use (the reference
+    scan of test_oracle_float_property too): ``bounded(p)`` for each call of _head_rows, the bounds of the
     blocks with prefixes ``p``, and ``valued(p, rows, values)`` for each
     call of _row_values that follows it, the values of rows of those
     blocks."""

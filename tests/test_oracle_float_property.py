@@ -8,6 +8,20 @@ from hypothesis import given, settings, strategies as st
 import bqpbench.oracle as oracle
 from bqpbench import BqpInstance, brute_force_minimize, objective_value
 
+# Blocks per product of the reference scan.
+_CHUNK = 8
+
+
+def block_values(p, const, q_ps, suffixes, suffix_base):
+    """Objective values of the blocks with prefixes ``p`` (one per row) and
+    prefix costs ``const``: one row per block, in suffix order.  The
+    oracle's head-row kernel over every head row, the sums
+    brute_force_minimize forms, with no row skipped."""
+    base = suffix_base.reshape(2 ** min(oracle._HEAD_BITS, suffixes.shape[1]), -1)
+    heads, tails, _ = oracle._head_rows(p, const, q_ps, suffixes, np.minimum.reduce(base, axis=1))
+    rows, cols = np.divmod(np.arange(heads.size), heads.shape[1])
+    return oracle._row_values(heads, tails, base, rows, cols).reshape(len(p), -1)
+
 
 def unpruned_scan(inst):
     """Every block through the oracle's kernel, its cost tables included,
@@ -24,9 +38,8 @@ def unpruned_scan(inst):
     suffix_base = oracle._costs(q_ss, c_s)
     const = oracle._costs(q_pp, c_p)
     values = np.concatenate([
-        oracle._block_values(prefixes[lo:lo + oracle._CHUNK], const[lo:lo + oracle._CHUNK],
-                             q_ps, suffixes, suffix_base)
-        for lo in range(0, 2 ** k, oracle._CHUNK)
+        block_values(prefixes[lo:lo + _CHUNK], const[lo:lo + _CHUNK], q_ps, suffixes, suffix_base)
+        for lo in range(0, 2 ** k, _CHUNK)
     ]).ravel()
     best = values[np.argmin(values)]
     ties = values <= best + 1e-9 * (1.0 + abs(best))

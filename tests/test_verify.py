@@ -319,7 +319,7 @@ def test_owned_matrices_are_validated_once(monkeypatch):
         monkeypatch.setattr(module, "require_symmetric", lambda a: calls.append(1) or real(a))
 
     inst, cert = generate_instance(GenConfig(n=30, seed=0))
-    assert len(calls) == 2  # BqpInstance, spd_factorize
+    assert len(calls) == 1  # BqpInstance; the planted shift is proven PD
     calls.clear()
     assert verify_certificate(inst, cert).overall
     assert len(calls) == 0  # the factor the generator made at cert.lam
